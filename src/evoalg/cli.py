@@ -389,11 +389,9 @@ def cmd_fuzz(args):
     lo, hi = _parse_dims(args.dim)
     if args.field == "mixed":
         fields = ("Q", 2, 3, 5)
-    elif args.field == "Q":
-        fields = ("Q",)
     else:
-        fields = (int(args.field),)
-        PrimeField(fields[0])
+        field = _parse_field_token(args.field)
+        fields = ("Q",) if field is QQ else (field.p,)
     report = galois.run_fuzz(
         count=args.count,
         min_dim=lo,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import EvolutionAlgebra
+from .algebra import DIM_CAP, EvolutionAlgebra
 from .errors import InputError
 from .fields import QQ, PrimeField
 
@@ -54,8 +54,11 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
             raise InputError(f"missing document key {key!r}")
     field = parse_field_descriptor(doc["field"])
     n = doc["dim"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true is an int subclass in Python; it is not a dimension.
+    if type(n) is not int or n < 1:
         raise InputError(f"dim must be a positive integer, got {n!r}")
+    if n > DIM_CAP:
+        raise InputError(f"dim {n} exceeds the cap {DIM_CAP}")
     labels = doc.get("basis", [f"e{i + 1}" for i in range(n)])
     if (
         not isinstance(labels, list)

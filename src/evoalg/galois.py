@@ -22,6 +22,7 @@ from .errors import EnumerationLimitError
 from .graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from .ideals import (
     Ideal,
+    _coefficient_pool,
     ideal_closure,
     ideal_from_hereditary,
     maximal_ideal_cover_check,
@@ -181,12 +182,8 @@ class _Ctx:
                 "hereditary enumeration exceeded the limit; "
                 "enumeration-backed laws were skipped"
             )
-        if self.hered is not None:
-            self.her_sat = [h for h in self.hered if self.G.is_saturated(h)]
-            self.maxher = self.G.maximal_hereditary_sets()
-        else:
-            self.her_sat = []
-            self.maxher = self.G.maximal_hereditary_sets()
+        self.her_sat = [h for h in self.hered or [] if self.G.is_saturated(h)]
+        self.maxher = self.G.maximal_hereditary_sets()
         self.ideals = self._sample_ideals(trials)
 
     def _sample_ideals(self, trials):
@@ -210,7 +207,7 @@ class _Ctx:
                 add(ideal_from_hereditary(A, h))
         for i in range(min(A.n, 6)):
             add(ideal_closure(A, [A.unit(i)]))
-        pool = _pool(A.field)
+        pool = _coefficient_pool(A.field)
         for _ in range(trials):
             gens = [
                 [self.rng.choice(pool) for _ in range(A.n)]
@@ -240,12 +237,6 @@ class _Ctx:
     def ideal_strings(self, ideal):
         f = self.A.field
         return [[f.format(x) for x in row] for row in ideal.subspace.basis]
-
-
-def _pool(field):
-    if field.order is None:
-        return [field.from_int(k) for k in (-2, -1, 0, 1, 2)]
-    return [field.from_int(k) for k in range(field.order)]
 
 
 # Each checker fills one PropertyResult from the shared context.

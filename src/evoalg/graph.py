@@ -93,10 +93,6 @@ class Digraph:
         return sum(len(t) for t in self.out)
 
     @cached_property
-    def _out_masks(self):
-        return tuple(vertex_set_mask(t) for t in self.out)
-
-    @cached_property
     def _in_degree(self):
         deg = [0] * self.n
         for targets in self.out:

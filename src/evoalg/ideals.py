@@ -15,10 +15,11 @@ of the basis vertices carried by its hereditary set.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from . import linalg
-from .linalg import rref, support
+from .linalg import Subspace, rref, support
 
 __all__ = [
     "Ideal",
@@ -89,21 +90,34 @@ class Ideal:
 
     def basis_vertices(self):
         """Indices whose unit vector lies in the ideal; a subset of
-        ``hereditary_vertices``, with equality exactly for absorption."""
-        A = self.algebra
+        ``hereditary_vertices``, with equality exactly for absorption.
+
+        In a reduced echelon basis the coordinate at pivot ``c`` of a member
+        is its coefficient on the row of ``c``, so ``e_i`` is a member exactly
+        when ``i`` is a pivot whose row is ``e_i``.
+        """
+        s = self.subspace
         return frozenset(
-            i for i in range(A.n) if self.subspace.contains(A.unit(i))
+            c for row, c in zip(s.basis, s.pivots) if support(row) == {c}
         )
 
     def has_absorption(self):
-        """True when the ideal equals the span of its hereditary vertices."""
-        span = _vertex_span(self.algebra, self.hereditary_vertices)
-        return self.subspace == span
+        """True when the ideal equals the span of its hereditary vertices.
+
+        That span is a coordinate subspace, so the ideal must be the span of
+        its basis vertices B, and a square lies in span(B) exactly when its
+        support lies in B.
+        """
+        b = self.basis_vertices()
+        squares = self.algebra.squares
+        return len(b) == self.dim and b == frozenset(
+            i for i, sq in enumerate(squares) if support(sq) <= b
+        )
 
     def is_spanned_by_basis_vertices(self):
         """Sufficient witness for extendable natural bases: the ideal is the
         span of the unit vectors it contains."""
-        return self.subspace == _vertex_span(self.algebra, self.basis_vertices())
+        return len(self.basis_vertices()) == self.dim
 
     def is_maximal(self):
         """Maximality of a proper ideal.
@@ -122,10 +136,9 @@ class Ideal:
         sq = A.square_span
         if self.subspace.contains_subspace(sq):
             return CRITERION_HYPERPLANE if self.codim == 1 else None
-        h = self.hereditary_vertices
-        if self.subspace != _vertex_span(A, h):
+        if not self.has_absorption():
             return None
-        if h not in A.graph.maximal_hereditary_sets():
+        if self.hereditary_vertices not in A.graph.maximal_hereditary_sets():
             return None
         if self.subspace.sum(sq).is_full:
             return CRITERION_MAX_HEREDITARY
@@ -144,11 +157,11 @@ class Ideal:
 
 
 def _vertex_span(algebra, vertices):
-    return rref(
-        algebra.field,
-        algebra.n,
-        [algebra.unit(i) for i in sorted(vertices)],
-    )
+    """span{e_i : i in vertices}; its reduced echelon basis is those unit
+    vectors in index order, pivoted at their own indices."""
+    pivots = tuple(sorted(vertices))
+    basis = tuple(algebra.unit(i) for i in pivots)
+    return Subspace(algebra.field, algebra.n, basis, pivots)
 
 
 def ideal_from_hereditary(algebra, hereditary) -> Ideal:
@@ -202,13 +215,11 @@ def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
     A = algebra
     everything = frozenset(range(A.n))
     h = ideal.hereditary_vertices
+    b = ideal.basis_vertices()
     for i in range(A.n):
-        if not ideal.contains(A.unit(i)):
-            if A.graph.tree({i}) | h != everything:
-                return False
-    if ideal.codim != 1 and h != ideal.basis_vertices():
-        return False
-    return True
+        if i not in b and A.graph.tree({i}) | h != everything:
+            return False
+    return ideal.codim == 1 or h == b
 
 
 def _hyperplanes_over_square_span(algebra, limit):
@@ -220,27 +231,14 @@ def _hyperplanes_over_square_span(algebra, limit):
     functionals = linalg.nullspace(A.field, A.n, sq.basis)
     c = len(functionals)
     out = []
-    # Nonzero combinations with first nonzero coefficient one: one functional
-    # per hyperplane.
-    def combos(depth, acc, leading_seen):
-        if depth == c:
-            if leading_seen:
-                yield tuple(acc)
-            return
-        if not leading_seen:
-            acc.append(0)
-            yield from combos(depth + 1, acc, False)
-            acc.pop()
-            acc.append(1)
-            yield from combos(depth + 1, acc, True)
-            acc.pop()
-        else:
-            for v in range(p):
-                acc.append(v)
-                yield from combos(depth + 1, acc, True)
-                acc.pop()
-
-    for coeffs in combos(0, [], False):
+    # Nonzero combinations whose first nonzero coefficient is one, in
+    # lexicographic order: one functional per hyperplane.
+    combos = (
+        v
+        for v in itertools.product(range(p), repeat=c)
+        if next((x for x in v if x), 0) == 1
+    )
+    for coeffs in combos:
         if len(out) >= limit:
             break
         phi = [A.field.zero] * A.n

@@ -12,7 +12,6 @@ from __future__ import annotations
 __all__ = [
     "Subspace",
     "coerce_vector",
-    "full_subspace",
     "nullspace",
     "rref",
     "support",
@@ -71,8 +70,11 @@ def rref(field, ambient_dim, vectors):
 class Subspace:
     """A subspace identified by its reduced row echelon basis.
 
-    Construct through :func:`rref`; the constructor trusts its arguments.
-    Immutable and hashable.
+    Construct through :func:`rref`, or directly from a basis already in that
+    canonical form: pivots strictly increasing, each pivot entry one and its
+    column zero in every other row.  A coordinate subspace span{e_i : i in H}
+    meets it as the unit rows of H in index order, pivoted at H, and is built
+    directly.  The constructor trusts its arguments.  Immutable and hashable.
     """
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots")
@@ -160,10 +162,6 @@ class Subspace:
 
 def zero_subspace(field, n):
     return Subspace(field, n, (), ())
-
-
-def full_subspace(field, n):
-    return rref(field, n, [unit_vector(field, n, i) for i in range(n)])
 
 
 def nullspace(field, width, equations):

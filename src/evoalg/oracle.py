@@ -233,6 +233,20 @@ def brute_force_absorption(algebra, subspace):
     return True
 
 
+def _brute_basis_vertices(algebra, subspace):
+    """Indices whose unit vector lies in the materialised element set, and
+    whether those unit vectors span it: the set has p^|B| elements."""
+    p, n = algebra.field.p, algebra.n
+    if p == 2:
+        elems = _f2_view(algebra).elements(subspace)
+        units = [1 << i for i in range(n)]
+    else:
+        elems = _span_tuples(_subspace_int_rows(subspace), p, n)
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    b = frozenset(i for i in range(n) if units[i] in elems)
+    return b, len(elems) == p ** len(b)
+
+
 def brute_force_ideals(algebra):
     """All ideals, by filtering the full subspace enumeration."""
     return [
@@ -330,18 +344,21 @@ class RandomSpec:
         return tuple(range(1, self.field.order))
 
 
+def _random_squares(rng, spec, min_dim, max_dim):
+    """Draw n in [min_dim, max_dim], then an n x n square matrix row by row,
+    each entry a pool coefficient with probability ``spec.density``."""
+    pool = spec.coefficient_pool()
+    n = rng.randint(min_dim, max_dim)
+    return [
+        [rng.choice(pool) if rng.random() < spec.density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
 def iter_random_algebras(spec: RandomSpec):
     rng = random.Random(spec.seed)
-    pool = spec.coefficient_pool()
     while True:
-        n = rng.randint(spec.min_dim, spec.max_dim)
-        squares = [
-            [
-                rng.choice(pool) if rng.random() < spec.density else 0
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
+        squares = _random_squares(rng, spec, spec.min_dim, spec.max_dim)
         yield EvolutionAlgebra(spec.field, squares)
 
 
@@ -366,14 +383,8 @@ def random_perfect_strongly_connected(spec: RandomSpec, attempts=1000):
     rng = random.Random(spec.seed)
     pool = spec.coefficient_pool()
     for _ in range(attempts):
-        n = rng.randint(spec.min_dim, spec.max_dim)
-        squares = [
-            [
-                rng.choice(pool) if rng.random() < spec.density else 0
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
+        squares = _random_squares(rng, spec, spec.min_dim, spec.max_dim)
+        n = len(squares)
         for i in range(n):
             if not squares[i][(i + 1) % n]:
                 squares[i][(i + 1) % n] = rng.choice(pool)
@@ -389,15 +400,10 @@ def random_with_sinks(spec: RandomSpec, min_sinks=1) -> EvolutionAlgebra:
     """Random algebra with at least ``min_sinks`` basis squares forced to
     zero; always degenerate."""
     rng = random.Random(spec.seed)
-    pool = spec.coefficient_pool()
-    n = rng.randint(max(spec.min_dim, min_sinks + 1), max(spec.max_dim, min_sinks + 1))
-    squares = [
-        [
-            rng.choice(pool) if rng.random() < spec.density else 0
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
+    squares = _random_squares(
+        rng, spec, max(spec.min_dim, min_sinks + 1), max(spec.max_dim, min_sinks + 1)
+    )
+    n = len(squares)
     for i in rng.sample(range(n), min_sinks):
         squares[i] = [0] * n
     return EvolutionAlgebra(spec.field, squares)
@@ -461,6 +467,11 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         ideal = ideals_mod.Ideal(A, s, _validated=True)
         if ideal.has_absorption() != brute_force_absorption(A, s):
             mismatches.append("has_absorption mismatch")
+        b, spanned = _brute_basis_vertices(A, s)
+        if ideal.basis_vertices() != b:
+            mismatches.append("basis_vertices mismatch")
+        if ideal.is_spanned_by_basis_vertices() != spanned:
+            mismatches.append("is_spanned_by_basis_vertices mismatch")
         if s.dim < A.n:
             if ideal.is_maximal() != (s.basis in brute_max_keys):
                 mismatches.append("is_maximal mismatch")

@@ -59,6 +59,8 @@ def test_document_rejects_unknown_keys():
         lambda d: d["squares"].update(e1={"zz": "1"}),
         lambda d: d["squares"].update(e1={"e1": "1/0"}),
         lambda d: d["squares"].update(e1={"e1": 0.5}),
+        lambda d: (d.pop("basis"), d.update(dim=65)),
+        lambda d: d.update(dim=True, basis=["e1"], squares={}),
     ],
 )
 def test_document_rejects_malformed(mutate):
@@ -277,3 +279,9 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
+    code, _, err = run_cli(capsys, "fuzz", "--count", "1", "--field", "abc")
+    assert code == 2 and "error:" in err
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"field": "Q", "dim": 65, "squares": {}}))
+    code, _, err = run_cli(capsys, "analyze", str(huge))
+    assert code == 2 and "exceeds the cap" in err

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra, rref
+from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, rref
 from evoalg.ideals import (
     CRITERION_HYPERPLANE,
     CRITERION_MAX_HEREDITARY,
@@ -81,7 +81,9 @@ def test_ideal_constructor_validates():
 def test_vertex_span_of_hereditary_sets():
     A = three_dim_perfect()
     ideal = ideal_from_hereditary(A, {1, 2})
-    assert ideal.subspace == rref(QQ, 3, [A.unit(1), A.unit(2)])
+    span = rref(QQ, 3, [A.unit(1), A.unit(2)])
+    assert ideal.subspace == span
+    assert ideal.subspace.pivots == span.pivots == (1, 2)
 
     assert ideal_from_hereditary(A, frozenset()).is_zero
 
@@ -325,6 +327,22 @@ def test_report_enumerates_hyperplanes_over_prime_field():
         assert sub.contains_subspace(A.square_span)
         assert is_ideal(A, sub)
     assert rep["complete"] is True
+
+    # Codimension two over F3: four hyperplanes, their functionals taken in
+    # lexicographic order of coefficients with leading coefficient one.
+    F3 = PrimeField(3)
+    B = EvolutionAlgebra(F3, [[0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [2, 0, 0, 2]])
+    fam = maximal_ideals_report(B)["hyperplane_family"]
+    assert fam == {
+        "kind": "family",
+        "count": 4,
+        "ideals": [
+            [["1", "0", "0", "1"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
+            [["1", "0", "0", "0"], ["0", "1", "1", "0"], ["0", "0", "0", "1"]],
+            [["1", "0", "0", "1"], ["0", "1", "0", "1"], ["0", "0", "1", "2"]],
+            [["1", "0", "0", "1"], ["0", "1", "0", "2"], ["0", "0", "1", "1"]],
+        ],
+    }
 
 
 def test_report_unique_hyperplane_when_codim_one():

@@ -180,6 +180,30 @@ def test_random_algebra_is_deterministic():
     a, b = next(stream), next(stream)
     assert a != b or a.squares == b.squares  # stream advances deterministically
 
+    # The squares each generator draws, pinned for two seeds over F3.
+    pinned = {
+        3: (
+            [[0, 2, 0], [1, 0, 1], [2, 0, 0]],
+            [[0, 2, 0], [1, 0, 1], [2, 0, 0]],
+            [[0, 2, 0], [0, 0, 0], [2, 0, 0]],
+        ),
+        11: (
+            [[0, 0, 0, 1], [2, 0, 0, 2], [1, 0, 2, 0], [0, 1, 0, 1]],
+            [[0, 1, 1], [0, 0, 1], [1, 2, 0]],
+            [[0, 0, 0, 1], [0, 0, 0, 0], [1, 0, 2, 0], [0, 1, 0, 1]],
+        ),
+    }
+    for seed, expected in pinned.items():
+        spec = RandomSpec(field=PrimeField(3), min_dim=3, max_dim=4, density=0.5, seed=seed)
+        drawn = (
+            random_algebra(spec),
+            random_perfect_strongly_connected(spec),
+            random_with_sinks(spec, min_sinks=1),
+        )
+        assert [[[x.value for x in row] for row in A.squares] for A in drawn] == list(
+            expected
+        )
+
 
 def test_zero_density_gives_zero_algebra_and_no_perfect_sample():
     spec = RandomSpec(field=QQ, min_dim=3, max_dim=3, density=0.0, seed=5)
