@@ -87,9 +87,7 @@ class EvolutionAlgebra:
     def annihilator_vertices(self):
         """Basis indices whose square is zero; exactly the sinks of the
         graph."""
-        return frozenset(
-            i for i, sq in enumerate(self.squares) if not any(sq)
-        )
+        return self.graph.sinks()
 
     def is_degenerate(self):
         return bool(self.annihilator_vertices())

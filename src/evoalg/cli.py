@@ -14,9 +14,11 @@ import os
 import sys
 
 from . import documents, galois, ideals, oracle
+from .algebra import DIM_CAP
 from .errors import EnumerationLimitError, InputError
 from .fields import QQ, PrimeField
 from .graph import DEFAULT_ENUM_LIMIT
+from .ideals import _labels, _row_strings
 
 __all__ = ["main"]
 
@@ -34,16 +36,8 @@ def _enum_limit():
     return value
 
 
-def _labels(algebra, vertices):
-    return [algebra.labels[i] for i in sorted(vertices)]
-
-
 def _set_str(labels):
     return "{" + ",".join(labels) + "}"
-
-
-def _vec_strs(algebra, rows):
-    return [[algebra.field.format(x) for x in row] for row in rows]
 
 
 def _parse_field_token(token):
@@ -65,7 +59,27 @@ def _parse_dims(token):
         raise InputError(f"dimension must be N or MIN:MAX, got {token!r}") from None
     if not 1 <= lo <= hi:
         raise InputError(f"bad dimension range {token!r}")
+    if hi > DIM_CAP:
+        raise InputError(f"--dim {token!r} exceeds the cap {DIM_CAP}")
     return lo, hi
+
+
+def _in_range(convert, lo, hi=None):
+    """argparse type: ``convert(text)``, rejected unless lo <= value <= hi."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not (lo <= value and (hi is None or value <= hi)):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return parse
 
 
 def _parse_vertex_set(algebra, text):
@@ -258,7 +272,7 @@ def cmd_simple(args):
             "method": verdicts["method"],
             "proper_nonzero_ideal_found": verdicts["proper_nonzero_ideal_found"],
             "witness": (
-                _vec_strs(A, verdicts["witness_rows"])
+                _row_strings(A, verdicts["witness_rows"])
                 if verdicts["witness_rows"]
                 else None
             ),
@@ -303,12 +317,12 @@ def cmd_ideal(args):
     criterion = ideal.maximality_criterion() if ideal.is_proper else None
     obj = {
         "dim": ideal.dim,
-        "basis": _vec_strs(A, ideal.subspace.basis),
+        "basis": _row_strings(A, ideal.subspace.basis),
         "hereditary_vertices": _labels(A, ideal.hereditary_vertices),
         "basis_vertices": _labels(A, ideal.basis_vertices()),
         "absorption": ideal.has_absorption(),
         "proper": ideal.is_proper,
-        "maximal": ideal.is_maximal() if ideal.is_proper else None,
+        "maximal": criterion is not None if ideal.is_proper else None,
         "maximal_criterion": criterion,
         "spanned_by_basis_vertices": ideal.is_spanned_by_basis_vertices(),
     }
@@ -436,11 +450,13 @@ def _build_parser():
     mode.add_argument("--all", action="store_true", help="every hereditary set (default)")
     mode.add_argument("--maximal", action="store_true", help="maximal ones only")
     mode.add_argument("--saturated", action="store_true", help="hereditary and saturated")
-    p.add_argument("--limit", type=int, default=None, help="enumeration limit")
+    p.add_argument(
+        "--limit", type=_in_range(int, 1), default=None, help="enumeration limit"
+    )
 
     p = add("maximal-ideals", cmd_maximal_ideals, help="maximal ideal report")
     p.add_argument("file")
-    p.add_argument("--hyperplane-limit", type=int, default=1024)
+    p.add_argument("--hyperplane-limit", type=_in_range(int, 0), default=1024)
 
     p = add("simple", cmd_simple, help="simplicity of the graph and the algebra")
     p.add_argument("file")
@@ -468,7 +484,7 @@ def _build_parser():
     p.add_argument("--random", action="store_true", help="verify a random algebra")
     p.add_argument("--field", default="Q")
     p.add_argument("--dim", default="2:6")
-    p.add_argument("--density", type=float, default=0.6)
+    p.add_argument("--density", type=_in_range(float, 0, 1), default=0.6)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 

@@ -120,7 +120,10 @@ def load_algebra(path) -> EvolutionAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc})") from exc
+    except ValueError as exc:
+        # JSONDecodeError, or a number literal past the int-str digit limit.
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc

@@ -14,6 +14,7 @@ values or :class:`Residue` wrappers supporting the usual operators.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,18 @@ __all__ = [
 _SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 PRIME_MODULUS_BOUND = 2**31
+
+
+def _int(text: str) -> int:
+    """``int(text)`` for text already matched as digits; text past the
+    interpreter's int-str digit limit is bad input, not a crash."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(
+            f"scalar {text[:16]}... has {len(text)} characters, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
 
 
 def _is_prime(p: int) -> bool:
@@ -129,10 +142,10 @@ class Rationals:
             raise InputError(f"malformed rational scalar {text!r}")
         if "/" in text:
             num, den = text.split("/")
-            if int(den) == 0:
+            if _int(den) == 0:
                 raise InputError(f"zero denominator in {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(_int(num), _int(den))
+        return Fraction(_int(text))
 
     def format(self, x: Fraction) -> str:
         return str(x)
@@ -187,7 +200,7 @@ class PrimeField:
     def parse(self, text: str) -> Residue:
         if not _SCALAR_RE.fullmatch(text) or "/" in text:
             raise InputError(f"malformed prime-field scalar {text!r} (integers only)")
-        return Residue(int(text), self.p)
+        return Residue(_int(text), self.p)
 
     def format(self, x: Residue) -> str:
         return str(x.value)

@@ -23,6 +23,8 @@ from .graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from .ideals import (
     Ideal,
     _coefficient_pool,
+    _labels,
+    _row_strings,
     ideal_closure,
     ideal_from_hereditary,
     maximal_ideal_cover_check,
@@ -231,20 +233,13 @@ class _Ctx:
         pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i, len(ids))]
         return pairs[: self.max_pairs]
 
-    def labels_of(self, vertices):
-        return [self.A.labels[i] for i in sorted(vertices)]
-
-    def ideal_strings(self, ideal):
-        f = self.A.field
-        return [[f.format(x) for x in row] for row in ideal.subspace.basis]
-
 
 # Each checker fills one PropertyResult from the shared context.
 
 def _p_hereditary_lattice(ctx, res):
     for h1, h2 in ctx.hered_pairs():
         ok = ctx.G.is_hereditary(h1 & h2) and ctx.G.is_hereditary(h1 | h2)
-        res.record(ok, {"H": ctx.labels_of(h1), "H'": ctx.labels_of(h2)})
+        res.record(ok, {"H": _labels(ctx.A, h1), "H'": _labels(ctx.A, h2)})
 
 
 def _p_span_of_intersection(ctx, res):
@@ -254,7 +249,7 @@ def _p_span_of_intersection(ctx, res):
         rhs = ideal_from_hereditary(A, h1).subspace.intersect(
             ideal_from_hereditary(A, h2).subspace
         )
-        res.record(lhs == rhs, {"H": ctx.labels_of(h1), "H'": ctx.labels_of(h2)})
+        res.record(lhs == rhs, {"H": _labels(A, h1), "H'": _labels(A, h2)})
 
 
 def _p_span_of_union(ctx, res):
@@ -266,7 +261,7 @@ def _p_span_of_union(ctx, res):
         ok = s1.sum(s2) == union
         if ok and not (h1 & h2):
             ok = union.dim == s1.dim + s2.dim
-        res.record(ok, {"H": ctx.labels_of(h1), "H'": ctx.labels_of(h2)})
+        res.record(ok, {"H": _labels(A, h1), "H'": _labels(A, h2)})
 
 
 def _p_vertices_of_ideal_intersection(ctx, res):
@@ -277,7 +272,13 @@ def _p_vertices_of_ideal_intersection(ctx, res):
             meet.hereditary_vertices
             == i1.hereditary_vertices & i2.hereditary_vertices
         )
-        res.record(ok, {"I": ctx.ideal_strings(i1), "J": ctx.ideal_strings(i2)})
+        res.record(
+            ok,
+            {
+                "I": _row_strings(A, i1.subspace.basis),
+                "J": _row_strings(A, i2.subspace.basis),
+            },
+        )
 
 
 def _p_vertex_map_monotone(ctx, res):
@@ -289,7 +290,13 @@ def _p_vertex_map_monotone(ctx, res):
                 res.skip()
                 continue
         ok = i1.hereditary_vertices <= i2.hereditary_vertices
-        res.record(ok, {"I": ctx.ideal_strings(i1), "J": ctx.ideal_strings(i2)})
+        res.record(
+            ok,
+            {
+                "I": _row_strings(ctx.A, i1.subspace.basis),
+                "J": _row_strings(ctx.A, i2.subspace.basis),
+            },
+        )
 
 
 def _p_expansions(ctx, res):
@@ -298,12 +305,12 @@ def _p_expansions(ctx, res):
         closure = ideal_from_hereditary(A, ideal.hereditary_vertices)
         res.record(
             closure.subspace.contains_subspace(ideal.subspace),
-            {"I": ctx.ideal_strings(ideal)},
+            {"I": _row_strings(A, ideal.subspace.basis)},
         )
     for h in ctx.hered or []:
         res.record(
             h <= ideal_from_hereditary(A, h).hereditary_vertices,
-            {"H": ctx.labels_of(h)},
+            {"H": _labels(A, h)},
         )
 
 
@@ -313,7 +320,7 @@ def _p_span_full_iff_all(ctx, res):
         span = ideal_from_hereditary(A, h)
         res.record(
             span.subspace.is_full == (h == ctx.full_set),
-            {"H": ctx.labels_of(h)},
+            {"H": _labels(A, h)},
         )
 
 
@@ -323,7 +330,7 @@ def _p_closure_full_iff_squares_inside(ctx, res):
         closure = ideal_from_hereditary(A, ideal.hereditary_vertices)
         lhs = closure.subspace.is_full
         rhs = ideal.subspace.contains_subspace(A.square_span)
-        res.record(lhs == rhs, {"I": ctx.ideal_strings(ideal)})
+        res.record(lhs == rhs, {"I": _row_strings(A, ideal.subspace.basis)})
 
 
 def _p_saturation_fixed_point(ctx, res):
@@ -334,7 +341,7 @@ def _p_saturation_fixed_point(ctx, res):
     for h in ctx.hered or []:
         back = ideal_from_hereditary(A, h).hereditary_vertices
         ok = (back == h) == (ctx.G.is_saturated(h) and sinks <= h)
-        res.record(ok, {"H": ctx.labels_of(h)})
+        res.record(ok, {"H": _labels(A, h)})
 
 
 def _p_vertex_trace_saturated(ctx, res):
@@ -343,7 +350,9 @@ def _p_vertex_trace_saturated(ctx, res):
         if h != ideal.basis_vertices():
             res.skip()
             continue
-        res.record(ctx.G.is_saturated(h), {"I": ctx.ideal_strings(ideal)})
+        res.record(
+            ctx.G.is_saturated(h), {"I": _row_strings(ctx.A, ideal.subspace.basis)}
+        )
 
 
 def _p_vertices_of_vertex_span(ctx, res):
@@ -351,7 +360,7 @@ def _p_vertices_of_vertex_span(ctx, res):
     for h in ctx.hered or []:
         res.record(
             ideal_from_hereditary(A, h).basis_vertices() == h,
-            {"H": ctx.labels_of(h)},
+            {"H": _labels(A, h)},
         )
 
 
@@ -363,7 +372,7 @@ def _p_absorption_iff_saturated(ctx, res):
         return
     for h in ctx.hered or []:
         ok = ideal_from_hereditary(A, h).has_absorption() == ctx.G.is_saturated(h)
-        res.record(ok, {"H": ctx.labels_of(h)})
+        res.record(ok, {"H": _labels(A, h)})
 
 
 def _p_absorption_equivalences(ctx, res):
@@ -374,7 +383,7 @@ def _p_absorption_equivalences(ctx, res):
         c = ideal.subspace == ideal_from_hereditary(
             A, ideal.hereditary_vertices
         ).subspace
-        res.record(a == b == c, {"I": ctx.ideal_strings(ideal)})
+        res.record(a == b == c, {"I": _row_strings(A, ideal.subspace.basis)})
 
 
 def _p_perfect_ideal_conclusions(ctx, res):
@@ -390,7 +399,7 @@ def _p_perfect_ideal_conclusions(ctx, res):
             and ideal.has_absorption()
             and ideal.is_spanned_by_basis_vertices()
         )
-        res.record(ok, {"I": ctx.ideal_strings(ideal)})
+        res.record(ok, {"I": _row_strings(A, ideal.subspace.basis)})
 
 
 def _maximal_ideals_found(ctx):
@@ -424,14 +433,14 @@ def _p_maximal_absorption(ctx, res):
         if hyperplane_over_squares:
             res.skip()
             continue
-        res.record(ideal.has_absorption(), {"I": ctx.ideal_strings(ideal)})
+        res.record(ideal.has_absorption(), {"I": _row_strings(A, ideal.subspace.basis)})
 
 
 def _p_cover_check(ctx, res):
     for ideal in _maximal_ideals_found(ctx):
         res.record(
             maximal_ideal_cover_check(ctx.A, ideal),
-            {"I": ctx.ideal_strings(ideal)},
+            {"I": _row_strings(ctx.A, ideal.subspace.basis)},
         )
 
 
@@ -448,7 +457,7 @@ def _p_strict_monotony(ctx, res):
             ok = s2.contains_subspace(s1) and s1.dim < s2.dim
         else:  # incomparable: injectivity only
             ok = s1 != s2
-        res.record(ok, {"H": ctx.labels_of(h1), "H'": ctx.labels_of(h2)})
+        res.record(ok, {"H": _labels(A, h1), "H'": _labels(A, h2)})
 
 
 def _p_adjunction_restricted(ctx, res):
@@ -463,7 +472,7 @@ def _p_adjunction_restricted(ctx, res):
         for ideal in absorbing:
             ok = check_adjunction(A, h, ideal, restricted=True)
             res.record(
-                ok, {"H": ctx.labels_of(h), "I": ctx.ideal_strings(ideal)}
+                ok, {"H": _labels(A, h), "I": _row_strings(A, ideal.subspace.basis)}
             )
 
 
@@ -477,7 +486,7 @@ def _p_adjunction_full_perfect(ctx, res):
         for ideal in ctx.ideals:
             ok = check_adjunction(A, h, ideal, restricted=False)
             res.record(
-                ok, {"H": ctx.labels_of(h), "I": ctx.ideal_strings(ideal)}
+                ok, {"H": _labels(A, h), "I": _row_strings(A, ideal.subspace.basis)}
             )
 
 
@@ -492,7 +501,7 @@ def _p_union_families(ctx, res):
             res.skip()
             continue
         ok = check_lattice_identities(ctx.A, hereditary_families=[family])
-        res.record(ok, {"family": [ctx.labels_of(h) for h in family]})
+        res.record(ok, {"family": [_labels(ctx.A, h) for h in family]})
 
 
 def _p_intersection_families(ctx, res):
@@ -503,7 +512,9 @@ def _p_intersection_families(ctx, res):
         k = ctx.rng.randint(1, min(3, len(absorbing)))
         family = [ctx.rng.choice(absorbing) for _ in range(k)]
         ok = check_lattice_identities(ctx.A, ideal_families=[family])
-        res.record(ok, {"family": [ctx.ideal_strings(i) for i in family]})
+        res.record(
+            ok, {"family": [_row_strings(ctx.A, i.subspace.basis) for i in family]}
+        )
 
 
 def _p_quotient_hereditary(ctx, res):
@@ -517,7 +528,7 @@ def _p_quotient_hereditary(ctx, res):
         image = frozenset(renum[v] for v in h2 - h1)
         res.record(
             quotient.is_hereditary(image),
-            {"H": ctx.labels_of(h1), "H'": ctx.labels_of(h2)},
+            {"H": _labels(ctx.A, h1), "H'": _labels(ctx.A, h2)},
         )
 
 
@@ -528,7 +539,7 @@ def _p_maximal_iff_quotient_simple(ctx, res):
             res.skip()
             continue
         ok = (h in maxset) == ctx.G.quotient(h).is_simple()
-        res.record(ok, {"H": ctx.labels_of(h)})
+        res.record(ok, {"H": _labels(ctx.A, h)})
 
 
 def _p_quotient_algebra_graph(ctx, res):
@@ -538,7 +549,7 @@ def _p_quotient_algebra_graph(ctx, res):
             continue
         res.record(
             ctx.A.quotient_by_hereditary(h).graph == ctx.G.quotient(h),
-            {"H": ctx.labels_of(h)},
+            {"H": _labels(ctx.A, h)},
         )
 
 
@@ -556,7 +567,11 @@ def _p_simplicity(ctx, res):
     ok = ctx.G.is_simple() == (witness is None)
     res.record(
         ok,
-        {"proper_nonzero_ideal": ctx.ideal_strings(witness) if witness else None},
+        {
+            "proper_nonzero_ideal": (
+                _row_strings(A, witness.subspace.basis) if witness else None
+            )
+        },
     )
 
 
@@ -576,9 +591,9 @@ def _p_tree_closure(ctx, res):
             and G.is_hereditary(t)
             and t <= G.tree(bigger)
         )
-        res.record(ok, {"S": ctx.labels_of(s)})
+        res.record(ok, {"S": _labels(ctx.A, s)})
     for h in ctx.hered or []:
-        res.record(G.tree(h) == h, {"H": ctx.labels_of(h)})
+        res.record(G.tree(h) == h, {"H": _labels(ctx.A, h)})
 
 
 def _p_maximal_agrees_with_enum(ctx, res):
@@ -595,7 +610,7 @@ def _p_maximal_agrees_with_enum(ctx, res):
     maxima.sort(key=vertex_set_mask)
     res.record(
         maxima == list(ctx.maxher),
-        {"expected": [ctx.labels_of(h) for h in maxima]},
+        {"expected": [_labels(ctx.A, h) for h in maxima]},
     )
 
 
@@ -610,7 +625,7 @@ def _p_saturated_closure_minimal(ctx, res):
             and G.saturated_closure(c) == c
             and not any(h <= s < c for s in ctx.her_sat)
         )
-        res.record(ok, {"H": ctx.labels_of(h)})
+        res.record(ok, {"H": _labels(ctx.A, h)})
 
 
 def _p_simple_iff_trivial_hereditary(ctx, res):
@@ -670,9 +685,7 @@ def _algebra_summary(algebra):
         "field": algebra.field.json_descriptor(),
         "perfect": algebra.is_perfect(),
         "degenerate": algebra.is_degenerate(),
-        "squares": [
-            [algebra.field.format(x) for x in row] for row in algebra.squares
-        ],
+        "squares": _row_strings(algebra, algebra.squares),
     }
 
 

@@ -8,6 +8,9 @@ The two directions of the correspondence:
 * ``Ideal.hereditary_vertices``: the set of basis indices whose square lies in
   the ideal; always hereditary, and it contains every sink.
 
+The ideal generated by a set X is read off the graph: it is the span of X and
+the squares ``e_j^2`` for every j in the tree of supp(X) (``ideal_closure``).
+
 An ideal has the *absorption property* when ``x A inside I`` forces ``x in I``;
 for evolution algebras this is equivalent to the ideal being exactly the span
 of the basis vertices carried by its hereditary set.
@@ -43,10 +46,14 @@ def is_ideal(algebra, subspace):
     squares over supports."""
     if subspace.ambient_dim != algebra.n or subspace.field != algebra.field:
         raise ValueError("subspace does not match the algebra")
-    touched = set()
-    for row in subspace.basis:
-        touched |= support(row)
-    return all(subspace.contains(algebra.squares[i]) for i in touched)
+    return all(
+        subspace.contains(algebra.squares[i]) for i in _column_support(subspace)
+    )
+
+
+def _column_support(subspace):
+    """Indices of the columns where some basis row is nonzero."""
+    return frozenset().union(*map(support, subspace.basis))
 
 
 class Ideal:
@@ -182,24 +189,18 @@ def hereditary_from_ideal(algebra, subspace) -> frozenset:
 def ideal_closure(algebra, generators) -> Ideal:
     """Smallest ideal containing the generators.
 
-    Repeatedly adjoin the squares of every index in the column support of the
-    current basis; the dimension grows strictly each round, so at most ``n``
-    rounds run.
+    Since ``e_j x = x_j e_j^2``, an ideal holding x holds the square of
+    every index in supp(x), and then of every index in the support of those
+    squares: the squares over the whole tree T of the generators' support.
+    Their span together with the generators is supported inside T, so it is
+    already the ideal, and one elimination gives its canonical basis.
     """
     n = algebra.n
     span = rref(algebra.field, n, list(generators))
-    while True:
-        touched = set()
-        for row in span.basis:
-            touched |= support(row)
-        extra = [
-            algebra.squares[i]
-            for i in sorted(touched)
-            if not span.contains(algebra.squares[i])
-        ]
-        if not extra:
-            return Ideal(algebra, span, _validated=True)
-        span = rref(algebra.field, n, list(span.basis) + extra)
+    tree = algebra.graph.tree(_column_support(span))
+    squares = [algebra.squares[j] for j in sorted(tree)]
+    span = rref(algebra.field, n, list(span.basis) + squares)
+    return Ideal(algebra, span, _validated=True)
 
 
 def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
@@ -270,7 +271,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         "perfect": A.is_perfect(),
         "square_span_dim": sq.dim,
         "square_span_codim": codim,
-        "square_span_basis": [_vector_strings(A, row) for row in sq.basis],
+        "square_span_basis": _row_strings(A, sq.basis),
     }
 
     finite = A.field.order is not None
@@ -280,7 +281,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         family = {
             "kind": "unique",
             "count": 1,
-            "ideals": [[_vector_strings(A, row) for row in sq.basis]],
+            "ideals": [_row_strings(A, sq.basis)],
         }
     elif finite:
         p = A.field.order
@@ -291,8 +292,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
                 "kind": "family",
                 "count": total,
                 "ideals": [
-                    [_vector_strings(A, row) for row in ideal.subspace.basis]
-                    for ideal in hyperplanes
+                    _row_strings(A, ideal.subspace.basis) for ideal in hyperplanes
                 ],
             }
         else:
@@ -307,7 +307,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         criterion = ideal.maximality_criterion() if ideal.is_proper else None
         entries.append(
             {
-                "vertices": [A.labels[i] for i in sorted(h)],
+                "vertices": _labels(A, h),
                 "dim": ideal.dim,
                 "maximal": criterion is not None,
                 "criterion": criterion,
@@ -350,5 +350,11 @@ def _coefficient_pool(field):
     return [field.from_int(k) for k in range(field.order)]
 
 
-def _vector_strings(algebra, vec):
-    return [algebra.field.format(x) for x in vec]
+def _row_strings(algebra, rows):
+    """Vectors as lists of exact scalar strings, as the reports print them."""
+    return [[algebra.field.format(x) for x in row] for row in rows]
+
+
+def _labels(algebra, vertices):
+    """Basis labels of a vertex set, in index order."""
+    return [algebra.labels[i] for i in sorted(vertices)]

@@ -138,6 +138,20 @@ def _span_tuples(int_rows, p, n):
     return elems
 
 
+def _raw_rows(p, subspace):
+    """Basis rows as integer tuples, or as bitmasks over F_2."""
+    rows = _subspace_int_rows(subspace)
+    return [_mask(row) for row in rows] if p == 2 else rows
+
+
+def _elements(algebra, subspace):
+    """The materialised element set, in the raw form of ``_raw_rows``."""
+    p = algebra.field.p
+    if p == 2:
+        return _span_masks(_raw_rows(2, subspace))
+    return _span_tuples(_raw_rows(p, subspace), p, algebra.n)
+
+
 def _sq_xor_table(square_masks, n):
     """table[m] = xor of the square masks over the bits of m, so that the
     product of bitmask vectors x, y over F_2 is table[x & y]."""
@@ -166,9 +180,6 @@ class _F2View:
         self.n = algebra.n
         self.square_masks = [_mask(row) for row in _squares_int(algebra)]
         self.table = _sq_xor_table(self.square_masks, self.n)
-
-    def elements(self, subspace):
-        return _span_masks([_mask(row) for row in _subspace_int_rows(subspace)])
 
     def is_ideal(self, elems):
         table = self.table
@@ -200,11 +211,10 @@ def brute_force_is_ideal(algebra, subspace):
     element stays inside, checked against the materialised element set."""
     _check_guard(algebra.field, algebra.n)
     p, n = algebra.field.p, algebra.n
+    elems = _elements(algebra, subspace)
     if p == 2:
-        view = _f2_view(algebra)
-        return view.is_ideal(view.elements(subspace))
+        return _f2_view(algebra).is_ideal(elems)
     squares = _squares_int(algebra)
-    elems = _span_tuples(_subspace_int_rows(subspace), p, n)
     for a in itertools.product(range(p), repeat=n):
         for v in elems:
             if _prod_tuple(squares, a, v, p, n) not in elems:
@@ -217,11 +227,10 @@ def brute_force_absorption(algebra, subspace):
     of x lands inside, x itself must already be inside."""
     _check_guard(algebra.field, algebra.n)
     p, n = algebra.field.p, algebra.n
+    elems = _elements(algebra, subspace)
     if p == 2:
-        view = _f2_view(algebra)
-        return view.absorbs(view.elements(subspace))
+        return _f2_view(algebra).absorbs(elems)
     squares = _squares_int(algebra)
-    elems = _span_tuples(_subspace_int_rows(subspace), p, n)
     for x in itertools.product(range(p), repeat=n):
         if x in elems:
             continue
@@ -237,11 +246,10 @@ def _brute_basis_vertices(algebra, subspace):
     """Indices whose unit vector lies in the materialised element set, and
     whether those unit vectors span it: the set has p^|B| elements."""
     p, n = algebra.field.p, algebra.n
+    elems = _elements(algebra, subspace)
     if p == 2:
-        elems = _f2_view(algebra).elements(subspace)
         units = [1 << i for i in range(n)]
     else:
-        elems = _span_tuples(_subspace_int_rows(subspace), p, n)
         units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     b = frozenset(i for i in range(n) if units[i] in elems)
     return b, len(elems) == p ** len(b)
@@ -261,15 +269,8 @@ def brute_force_maximal_ideals(algebra, ideals=None):
     if ideals is None:
         ideals = brute_force_ideals(algebra)
     p, n = algebra.field.p, algebra.n
-    if p == 2:
-        view = _f2_view(algebra)
-        data = [(s, view.elements(s)) for s in ideals]
-    else:
-        data = [(s, _span_tuples(_subspace_int_rows(s), p, n)) for s in ideals]
-    rows = [
-        (_subspace_int_rows(s) if p != 2 else [_mask(r) for r in _subspace_int_rows(s)])
-        for s, _ in data
-    ]
+    data = [(s, _elements(algebra, s)) for s in ideals]
+    rows = [_raw_rows(p, s) for s in ideals]
     out = []
     for i, (s, _) in enumerate(data):
         if s.dim == n:
@@ -414,6 +415,21 @@ def random_with_sinks(spec: RandomSpec, min_sinks=1) -> EvolutionAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _listed_maximal_ideals(algebra, report):
+    """The maximal ideals a report lists, as integer echelon rows: its
+    hyperplane family and its vertex spans marked maximal."""
+    n = algebra.n
+    listed = {
+        tuple(tuple(int(x) for x in row) for row in basis)
+        for basis in report["hyperplane_family"]["ideals"] or []
+    }
+    for entry in report["from_maximal_hereditary"]:
+        if entry["maximal"]:
+            h = sorted(algebra.index_of(label) for label in entry["vertices"])
+            listed.add(tuple(tuple(int(j == i) for j in range(n)) for i in h))
+    return listed
+
+
 def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     """Compare the fast predicates with brute force on one prime-field algebra.
 
@@ -422,6 +438,10 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     algebra's (field, dim); ``max_compare`` caps how many non-ideal subspaces
     get the point-wise is_ideal comparison, while idealness is still decided
     brute-force on every subspace so that maximality stays ground truth.
+    Every compared subspace also has its ``ideal_closure`` checked against
+    the least brute-force ideal holding it, and a ``maximal_ideals_report``
+    that claims to be complete must list exactly the brute-force maximal
+    ideals.
     """
     from . import graph as graph_mod
 
@@ -448,6 +468,13 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     brute_flags = [brute_force_is_ideal(A, s) for s in subspaces]
     brute_ideal_list = [s for s, f in zip(subspaces, brute_flags) if f]
 
+    # The least ideal holding a set has the smallest dimension of those that
+    # hold it, because ideals are closed under intersection.
+    p = A.field.p
+    by_dim = sorted(
+        ((t, _elements(A, t)) for t in brute_ideal_list), key=lambda te: te[0].dim
+    )
+
     rng = random.Random(seed)
     indices = range(len(subspaces))
     if max_compare is not None and len(subspaces) > max_compare:
@@ -459,6 +486,10 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         s = subspaces[i]
         if ideals_mod.is_ideal(A, s) != brute_flags[i]:
             mismatches.append(f"is_ideal mismatch at subspace {i}")
+        rows = _raw_rows(p, s)
+        least = next(t for t, elems in by_dim if all(r in elems for r in rows))
+        if ideals_mod.ideal_closure(A, s.basis).subspace != least:
+            mismatches.append(f"ideal_closure mismatch at subspace {i}")
         compared += 1
 
     brute_max = brute_force_maximal_ideals(A, brute_ideal_list)
@@ -475,6 +506,12 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         if s.dim < A.n:
             if ideal.is_maximal() != (s.basis in brute_max_keys):
                 mismatches.append("is_maximal mismatch")
+
+    report = ideals_mod.maximal_ideals_report(A)
+    if report["complete"] and _listed_maximal_ideals(A, report) != {
+        tuple(_subspace_int_rows(s)) for s in brute_max
+    }:
+        mismatches.append("maximal_ideals_report is complete but lists other ideals")
     return {
         "dim": A.n,
         "subspaces": len(subspaces),

@@ -61,6 +61,11 @@ def test_document_rejects_unknown_keys():
         lambda d: d["squares"].update(e1={"e1": 0.5}),
         lambda d: (d.pop("basis"), d.update(dim=65)),
         lambda d: d.update(dim=True, basis=["e1"], squares={}),
+        lambda d: d["squares"].update(e1={"e1": "7" * 5000}),
+        lambda d: (
+            d.update(field={"prime": 5}),
+            d["squares"].update(e1={"e1": "7" * 5000}),
+        ),
     ],
 )
 def test_document_rejects_malformed(mutate):
@@ -285,3 +290,37 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     huge.write_text(json.dumps({"field": "Q", "dim": 65, "squares": {}}))
     code, _, err = run_cli(capsys, "analyze", str(huge))
     assert code == 2 and "exceeds the cap" in err
+    code, _, err = run_cli(capsys, "verify", "--random", "--dim", "65")
+    assert code == 2 and "exceeds the cap" in err
+    code, _, err = run_cli(capsys, "fuzz", "--dim", "65:70", "--count", "1")
+    assert code == 2 and "exceeds the cap" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"field": "Q", "dim": 1, "basis": ["\xe9"], "squares": {}}')
+    code, _, err = run_cli(capsys, "analyze", str(latin1))
+    assert code == 2 and "not UTF-8" in err
+    digits = "7" * 5000
+    for field in ("Q", {"prime": 5}):
+        long_scalar = tmp_path / "long_scalar.json"
+        long_scalar.write_text(
+            json.dumps({"field": field, "dim": 1, "squares": {"e1": {"e1": digits}}})
+        )
+        code, _, err = run_cli(capsys, "analyze", str(long_scalar))
+        assert code == 2 and "5000 characters" in err
+    long_number = tmp_path / "long_number.json"
+    long_number.write_text(
+        '{"field": "Q", "dim": 1, "squares": {"e1": {"e1": %s}}}' % digits
+    )
+    code, _, err = run_cli(capsys, "analyze", str(long_number))
+    assert code == 2 and "not valid JSON" in err
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(algebra_to_document(two_cycle())))
+    code, _, err = run_cli(capsys, "ideal", str(two), f"--generators=1,{digits}")
+    assert code == 2 and "5000 characters" in err
+    for argv, flag in (
+        (["maximal-ideals", str(two), "--hyperplane-limit", "-1"], "--hyperplane-limit"),
+        (["verify", "--random", "--density", "1.5"], "--density"),
+        (["verify", "--random", "--density", "-1"], "--density"),
+        (["hereditary", str(two), "--limit", "0"], "--limit"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and flag in err, argv

@@ -54,6 +54,9 @@ def test_closure_of_branch_vertex():
     assert ideal.subspace == expected
     assert not ideal.contains(A.unit(3))
     assert not ideal.contains(A.unit(4))
+    # e1^2=e2, e2^2=e3, e3^2=e4: e1 forces squares three steps down the chain.
+    chain = EvolutionAlgebra(QQ, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0] * 4])
+    assert ideal_closure(chain, [chain.unit(0)]).subspace.is_full
 
 
 # -- is_ideal ------------------------------------------------------------------
