@@ -108,10 +108,23 @@ def _parse_generators(algebra, text):
 
 def _emit(args, obj, text):
     if args.json:
-        print(json.dumps(obj, indent=2))
+        _print(json.dumps(obj, indent=2) + "\n")
     else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        _print(text if text.endswith("\n") else text + "\n")
     return 0
+
+
+def _print(text):
+    """Write to stdout; a reader that closed the pipe early (``| head``) is
+    not an error of the command, which keeps its own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +319,7 @@ def cmd_quotient(args):
             fh.write(text)
         print(f"wrote {args.out}")
         return 0
-    print(text, end="")
+    _print(text)
     return 0
 
 
@@ -485,13 +498,13 @@ def _build_parser():
     p.add_argument("--field", default="Q")
     p.add_argument("--dim", default="2:6")
     p.add_argument("--density", type=_in_range(float, 0, 1), default=0.6)
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_in_range(int, 0), default=5)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("fuzz", cmd_fuzz, help="run the property suite over a random corpus")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_in_range(int, 0), default=100)
     p.add_argument("--dim", default="2:6")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_in_range(int, 0), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="mixed", help="Q, a prime, or mixed")
 

@@ -148,7 +148,13 @@ class Rationals:
         return Fraction(_int(text))
 
     def format(self, x: Fraction) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            raise InputError(
+                f"a computed rational has more than {sys.get_int_max_str_digits()} "
+                "digits in its numerator or denominator, over the int-str digit limit"
+            ) from None
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):

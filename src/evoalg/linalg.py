@@ -5,9 +5,18 @@ span: pivot columns strictly increasing, pivot entries one, pivot columns zero
 elsewhere.  Consequently two subspaces are equal exactly when their basis
 matrices are equal entry-wise, which turns every set identity downstream into
 a plain ``==``.
+
+Elimination over F_p runs on plain ints in [0, p): each input row is coerced
+once, rows are combined with ``(a - f * b) % p`` and pivots inverted with
+``pow(x, -1, p)``, and the surviving rows are wrapped in :class:`Residue` once,
+when the subspace is built.  A subspace over F_p keeps an int copy of its
+basis, which ``reduce`` and ``contains`` eliminate against.  Over Q the same
+loop runs on ``Fraction`` entries.
 """
 
 from __future__ import annotations
+
+from .fields import Residue
 
 __all__ = [
     "Subspace",
@@ -39,32 +48,70 @@ def support(vec):
     return frozenset(i for i, x in enumerate(vec) if x)
 
 
+def _coerce_row(field, vec, n):
+    """One input row as a list: ``Fraction`` entries over Q, ints in [0, p)
+    over F_p.  Coercion errors come before the length check."""
+    p = field.order
+    if p is None:
+        row = [field.coerce(x) for x in vec]
+    else:
+        row = [
+            x.value if type(x) is Residue and x.p == p else field.coerce(x).value
+            for x in vec
+        ]
+    if len(row) != n:
+        raise ValueError(f"vector of length {len(row)}, expected {n}")
+    return row
+
+
+def _eliminate(rows, ncols, p):
+    """Gauss-Jordan elimination of ``rows`` in place, over Q when ``p`` is
+    None and over F_p on ints in [0, p) otherwise.  Returns the pivot
+    columns; the first ``len(pivots)`` rows are then the reduced basis."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        prow = rows[r]
+        if prow[c] != 1:
+            if p is None:
+                inv = 1 / prow[c]
+                prow = [inv * x for x in prow]
+            else:
+                inv = pow(prow[c], -1, p)
+                prow = [inv * x % p for x in prow]
+            rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, prow)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
 def rref(field, ambient_dim, vectors):
     """Reduced row echelon span of the given vectors.
 
     Idempotent: applying it to the basis of the result returns an identical
     basis.  Raises ``ValueError`` for ragged input.
     """
-    rows = [list(coerce_vector(field, v, ambient_dim)) for v in vectors]
-    pivots = []
-    r = 0
-    for c in range(ambient_dim):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        inv = field.one / rows[r][c]
-        if inv != field.one:
-            rows[r] = [inv * x for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    basis = tuple(tuple(row) for row in rows[:r])
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+    p = field.order
+    rows = [_coerce_row(field, v, ambient_dim) for v in vectors]
+    pivots = tuple(_eliminate(rows, ambient_dim, p))
+    rows = tuple(tuple(row) for row in rows[: len(pivots)])
+    if p is None:
+        return Subspace(field, ambient_dim, rows, pivots)
+    basis = tuple(tuple(Residue(x, p) for x in row) for row in rows)
+    s = Subspace(field, ambient_dim, basis, pivots)
+    s._int_rows = rows
+    return s
 
 
 class Subspace:
@@ -77,13 +124,21 @@ class Subspace:
     directly.  The constructor trusts its arguments.  Immutable and hashable.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._int_rows = None
+
+    def _ints(self):
+        """The basis over F_p as int rows in [0, p); ``rref`` hands them
+        over, a directly built subspace derives them once."""
+        if self._int_rows is None:
+            self._int_rows = tuple(tuple(x.value for x in row) for row in self.basis)
+        return self._int_rows
 
     @property
     def dim(self):
@@ -99,15 +154,29 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of ``vec`` after elimination against the basis."""
-        w = list(coerce_vector(self.field, vec, self.ambient_dim))
-        for row, c in zip(self.basis, self.pivots):
+        w = self._residual(vec)
+        p = self.field.order
+        return tuple(w) if p is None else tuple(Residue(x, p) for x in w)
+
+    def _residual(self, vec):
+        """``reduce`` as a list: ``Fraction`` entries over Q, ints in
+        [0, p) over F_p."""
+        p = self.field.order
+        w = _coerce_row(self.field, vec, self.ambient_dim)
+        for row, c in zip(self.basis if p is None else self._ints(), self.pivots):
             f = w[c]
             if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+                if p is None:
+                    w = [a - f * b for a, b in zip(w, row)]
+                else:
+                    w = [(a - f * b) % p for a, b in zip(w, row)]
+        return w
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        # Over F_p the int residual answers without building Residue values.
+        if self.field.order is None:
+            return not any(self.reduce(vec))
+        return not any(self._residual(vec))
 
     def contains_subspace(self, other):
         self._check_compatible(other)

@@ -1,8 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import evoalg
 from evoalg import InputError, algebra_from_document, algebra_to_document
 from evoalg.cli import main
 from evoalg.schemas import SCHEMAS
@@ -321,6 +326,42 @@ def test_parse_errors_exit_two(tmp_path, capsys):
         (["verify", "--random", "--density", "1.5"], "--density"),
         (["verify", "--random", "--density", "-1"], "--density"),
         (["hereditary", str(two), "--limit", "0"], "--limit"),
+        (["fuzz", "--count", "-1"], "--count"),
+        (["fuzz", "--count", "1", "--trials", "-4"], "--trials"),
+        (["verify", "--random", "--trials", "-4"], "--trials"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and flag in err, argv
+    # Three squares of 4,000-digit entries, the third the sum of the first
+    # two: the square-span echelon entries are ratios of 2x2 minors, about
+    # 8,000 digits, past the int-str limit when formatted.
+    rng = random.Random(5)
+    x, y = ([rng.randrange(10**3999, 10**4000) for _ in range(3)] for _ in range(2))
+    rows = (x, y, [a + b for a, b in zip(x, y)])
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "field": "Q",
+        "dim": 3,
+        "squares": {
+            f"e{i + 1}": {f"e{j + 1}": str(v) for j, v in enumerate(row)}
+            for i, row in enumerate(rows)
+        },
+    }))
+    code, out, err = run_cli(capsys, "maximal-ideals", str(wide), "--json")
+    assert code == 2 and "digit limit" in err and out == ""
+
+
+def test_closed_stdout_pipe_leaves_no_traceback():
+    # The reader closes the pipe before the command writes, as `| head` does
+    # when it has read enough.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evoalg", "fuzz", "--count", "2", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

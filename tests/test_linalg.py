@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import GF2, QQ, rref, unit_vector
-from evoalg.linalg import nullspace, support, zero_subspace
+from evoalg import GF2, QQ, InputError, PrimeField, Residue, Subspace, rref, unit_vector
+from evoalg.linalg import coerce_vector, nullspace, support, zero_subspace
 
 from helpers import six_dim_branching
 
@@ -151,3 +151,116 @@ def test_nullspace_produces_solutions():
 def test_full_subspace_and_support():
     assert rref(QQ, 4, [unit_vector(QQ, 4, i) for i in range(4)]).is_full
     assert support((Fraction(0), Fraction(2), Fraction(0))) == frozenset({1})
+
+
+# -- the mod-p kernel against the Residue elimination loop --------------------
+
+
+def _reference_rref(field, n, vectors):
+    """Gauss-Jordan on ``Residue`` entries, one object per scalar operation:
+    the elimination loop ``linalg`` ran before it moved to ints mod p."""
+    rows = [list(coerce_vector(field, v, n)) for v in vectors]
+    pivots = []
+    r = 0
+    for c in range(n):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = field.one / rows[r][c]
+        if inv != field.one:
+            rows[r] = [inv * x for x in rows[r]]
+        prow = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def _reference_reduce(field, n, basis, pivots, vec):
+    w = list(coerce_vector(field, vec, n))
+    for row, c in zip(basis, pivots):
+        f = w[c]
+        if f:
+            w = [a - f * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def _reference_nullspace(field, n, equations):
+    basis, pivots = _reference_rref(field, n, equations)
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [field.zero] * n
+        x[f] = field.one
+        for row, c in zip(basis, pivots):
+            if row[f]:
+                x[c] = -row[f]
+        out.append(tuple(x))
+    return out
+
+
+def _reference_intersect(field, n, u, w):
+    """U ∩ W = (U⊥ + W⊥)⊥ for the standard form, which is non-degenerate
+    over every field; a route that shares no step with ``intersect``."""
+    perp = _reference_nullspace(field, n, u) + _reference_nullspace(field, n, w)
+    return _reference_rref(field, n, _reference_nullspace(field, n, perp))
+
+
+@st.composite
+def _fp_rows(draw, p, n):
+    """Rows of raw ints, scalar strings and residues; half the time drawn
+    as combinations of fewer generators, so the rank falls short."""
+    entry = st.integers(-2 * p, 2 * p)
+    k = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+        rows = [
+            [sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(n)]
+            for coefs in draw(
+                st.lists(st.lists(entry, min_size=len(gens), max_size=len(gens)), min_size=k, max_size=k)
+            )
+        ]
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(("int", "str", "residue")), min_size=n, max_size=n))
+    cast = {"int": lambda x: x, "str": str, "residue": lambda x: Residue(x, p)}
+    return [[cast[kind](x) for kind, x in zip(kinds, row)] for row in rows]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mod_p_kernel_matches_residue_loop(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7, 2**31 - 1)))
+    n = data.draw(st.integers(1, 6))
+    F = PrimeField(p)
+    rows = data.draw(_fp_rows(p, n))
+    s = rref(F, n, rows)
+    basis, pivots = _reference_rref(F, n, rows)
+    assert s.basis == basis and s.pivots == pivots
+    assert all(type(x) is Residue and x.p == p for row in s.basis for x in row)
+    # A subspace built directly from its basis derives its int rows itself.
+    direct = Subspace(F, n, s.basis, s.pivots)
+    for vec in data.draw(_fp_rows(p, n)):
+        residual = _reference_reduce(F, n, basis, pivots, vec)
+        for sub in (s, direct):
+            assert sub.reduce(vec) == residual
+            assert sub.contains(vec) == (not any(residual))
+    assert nullspace(F, n, rows) == _reference_nullspace(F, n, rows)
+    other = rref(F, n, data.draw(_fp_rows(p, n)))
+    meet = s.intersect(other)
+    assert (meet.basis, meet.pivots) == _reference_intersect(F, n, s.basis, other.basis)
+
+
+def test_mod_p_kernel_rejects_a_foreign_modulus():
+    F5 = PrimeField(5)
+    with pytest.raises(InputError):
+        rref(F5, 2, [(1, 0), (Residue(1, 7), 2)])
+    s = rref(F5, 2, [(1, 2)])
+    for call in (s.reduce, s.contains):
+        with pytest.raises(InputError):
+            call((Residue(1, 3), 0))
+    with pytest.raises(ValueError):
+        rref(F5, 2, [(1, 0), (1,)])
