@@ -513,6 +513,12 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # argparse takes a value such as "-2,1" for an option; the "=" form is
+    # read as the value whatever its first character.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    while "--generators" in argv[:-1]:
+        k = argv.index("--generators")
+        argv[k : k + 2] = ["--generators=" + argv[k + 1]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

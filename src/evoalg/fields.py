@@ -183,10 +183,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        # The bound comes first: trial division of a large prime never ends.
+        if isinstance(self.p, int) and self.p > PRIME_MODULUS_BOUND:
+            raise InputError(f"modulus {self.p} exceeds {PRIME_MODULUS_BOUND}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise InputError(f"modulus {self.p!r} is not prime")
-        if self.p > PRIME_MODULUS_BOUND:
-            raise InputError(f"modulus {self.p} exceeds {PRIME_MODULUS_BOUND}")
 
     @property
     def name(self):

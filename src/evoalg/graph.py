@@ -9,14 +9,15 @@ vertex sets is returned, it is sorted by the bitmask integer with bit ``i``
 standing for vertex ``i``, which fixes a deterministic output order.
 
 Paths are never materialised: trees, strong connectivity and closed paths are
-all phrased through reachability, and hereditary-set enumeration walks
-down-closed unions of strongly connected components.
+all phrased through reachability, and hereditary sets are generated already in
+bitmask order, deciding vertices from the highest down.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from itertools import compress, count, islice
 
 from .errors import EnumerationLimitError
 
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_LIMIT = 10**6
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def vertex_set_mask(vertices) -> int:
@@ -39,14 +41,7 @@ def vertex_set_mask(vertices) -> int:
 
 
 def _mask_to_frozenset(mask: int) -> frozenset:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 class Digraph:
@@ -79,6 +74,8 @@ class Digraph:
 
     def _check_vertices(self, vertices):
         vs = frozenset(vertices)
+        if not vs or (0 <= min(vs) and max(vs) < self.n):
+            return vs
         for v in vs:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
@@ -127,10 +124,14 @@ class Digraph:
         vs = self._check_vertices(vertices)
         return all(v in vs for u in vs for v in self.out[u])
 
+    @cached_property
+    def _out_sets(self):
+        return tuple((u, frozenset(t)) for u, t in enumerate(self.out) if t)
+
     def is_saturated(self, vertices):
         vs = self._check_vertices(vertices)
-        for u in range(self.n):
-            if self.out[u] and u not in vs and all(v in vs for v in self.out[u]):
+        for u, targets in self._out_sets:
+            if u not in vs and vs.issuperset(targets):
                 return False
         return True
 
@@ -270,9 +271,9 @@ class Digraph:
         return out
 
     @cached_property
-    def _component_closure_masks(self):
-        """Vertex mask of everything reachable from each component."""
-        components, _, dag_out = self._condensation
+    def _reach_masks(self):
+        """Vertex mask of everything reachable from each vertex."""
+        components, comp_of, dag_out = self._condensation
         k = len(components)
         closure = [0] * k
         for ci in range(k - 1, -1, -1):  # reverse topological order
@@ -280,36 +281,41 @@ class Digraph:
             for cj in dag_out[ci]:
                 m |= closure[cj]
             closure[ci] = m
-        return tuple(closure)
+        return tuple(closure[c] for c in comp_of)
 
-    def _iter_hereditary_masks(self, limit):
-        closures = self._component_closure_masks
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            m = frontier.pop()
-            for cm in closures:
-                nm = m | cm
-                if nm not in seen:
-                    if len(seen) >= limit:
-                        raise EnumerationLimitError(
-                            f"more than {limit} hereditary sets"
-                        )
-                    seen.add(nm)
-                    frontier.append(nm)
-        return seen
+    def _hereditary_masks(self):
+        """Every hereditary set as a mask, in increasing order.
+
+        Vertices are decided from n-1 down to 0, "out" before "in".  A vertex
+        may go in when its reach meets no excluded vertex; every node yields
+        its chosen reach, so two yields are at most n steps apart.
+        """
+        reach = self._reach_masks
+        stack = [(self.n - 1, 0, 0)]
+        while stack:
+            i, inc, exc = stack.pop()
+            yield inc
+            for v in range(i, -1, -1):
+                bit = 1 << v
+                if not inc & bit:
+                    if not reach[v] & exc:
+                        stack.append((v - 1, inc | reach[v], exc))
+                    exc |= bit
 
     def hereditary_sets(self, limit=DEFAULT_ENUM_LIMIT):
         """Every hereditary vertex set, sorted by bitmask; may hit the limit.
 
-        A set is hereditary iff it is a union of components closed under the
-        condensation's successor relation, so the walk adds whole component
-        closures and never leaves the hereditary family.
+        The sets come from an in-order generator, and the limit is checked
+        on its masks before any set is built.  A limit below 1 acts as 1.
         """
-        masks = self._iter_hereditary_masks(limit)
-        return [_mask_to_frozenset(m) for m in sorted(masks)]
+        cap = max(limit, 1)
+        masks = list(islice(self._hereditary_masks(), cap + 1))
+        if len(masks) > cap:
+            raise EnumerationLimitError(f"more than {limit} hereditary sets")
+        return [_mask_to_frozenset(m) for m in masks]
 
     def hereditary_saturated_sets(self, limit=DEFAULT_ENUM_LIMIT):
+        """Saturated hereditary sets by bitmask; ``limit`` counts hereditary sets."""
         return [h for h in self.hereditary_sets(limit) if self.is_saturated(h)]
 
     # -- simplicity and quotients -------------------------------------------

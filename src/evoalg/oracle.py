@@ -4,9 +4,10 @@ Everything here is ground truth for certifying the fast algorithms, so none of
 it reuses their code paths: products are recomputed from the structure
 constants on raw integer vectors (bitmasks over F_2), membership is a lookup
 in an explicitly materialised element set, hereditary sets are swept over all
-2^n subsets with per-vertex reachability, idealness and absorption quantify
-literally over all p^n vectors with early exit on the first violation, and
-maximality is pairwise inclusion over the complete ideal list.
+2^n subsets with per-vertex reachability, saturation is read off the squares,
+idealness and absorption quantify literally over all p^n vectors with early
+exit on the first violation, and maximality is pairwise inclusion over the
+complete ideal list.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def _mask(row_bits):
         if b:
             m |= 1 << j
     return m
+
+
+def _saturated_by_squares(squares_int, vertices):
+    """No e_i with i outside the set has a nonzero square supported inside it."""
+    return not any(
+        i not in vertices and any(row) and all(j in vertices for j, x in enumerate(row) if x)
+        for i, row in enumerate(squares_int)
+    )
 
 
 def _span_masks(mask_rows):
@@ -438,6 +447,8 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     algebra's (field, dim); ``max_compare`` caps how many non-ideal subspaces
     get the point-wise is_ideal comparison, while idealness is still decided
     brute-force on every subspace so that maximality stays ground truth.
+    The hereditary sets, their saturated members and the maximal ones are
+    each compared with a brute-force family.
     Every compared subspace also has its ``ideal_closure`` checked against
     the least brute-force ideal holding it, and a ``maximal_ideals_report``
     that claims to be complete must list exactly the brute-force maximal
@@ -453,6 +464,10 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     brute_hered = sorted(brute_force_hereditary(g), key=graph_mod.vertex_set_mask)
     if fast_hered != brute_hered:
         mismatches.append("hereditary enumeration differs from brute force")
+    squares = _squares_int(A)
+    brute_sat = [h for h in brute_hered if _saturated_by_squares(squares, h)]
+    if g.hereditary_saturated_sets() != brute_sat:
+        mismatches.append("hereditary saturated sets differ from brute force")
 
     full = frozenset(range(A.n))
     proper = [h for h in brute_hered if h != full]

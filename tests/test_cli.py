@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evoalg
 from evoalg import InputError, algebra_from_document, algebra_to_document
@@ -202,6 +207,19 @@ def test_ideal_command_reports_mirror_diagonal(tmp_path, capsys):
     assert obj["spanned_by_basis_vertices"] is False
 
 
+def test_ideal_generators_may_start_with_a_minus_sign(tmp_path, capsys):
+    path = tmp_path / "mirror.json"
+    path.write_text(json.dumps(algebra_to_document(mirror_pair())))
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(
+            capsys, "ideal", str(path), "--generators", "-2,1", *extra
+        )
+        assert code == 0, err
+        assert (code, out) == run_cli(
+            capsys, "ideal", str(path), "--generators=-2,1", *extra
+        )[:2]
+
+
 def test_ideal_command_rejects_bad_generators(six_file, capsys):
     code, _, err = run_cli(capsys, "ideal", six_file, "--generators", "1,2")
     assert code == 2
@@ -365,3 +383,81 @@ def test_closed_stdout_pipe_leaves_no_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- exit contract ---------------------------------------------------------------
+
+_LABEL = st.sampled_from(["e1", "e2", "e1", "e2", "e3", "x", ""])
+_SCALAR = st.one_of(
+    st.sampled_from(["1", "-2", "1/2", "0", "3", "3/0", "abc", "", "7" * 5000]),
+    st.integers(-5, 5),
+    st.none(),
+    st.floats(),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 70), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_LABEL, inner, max_size=3),
+    max_leaves=6,
+)
+# Mostly well-formed documents, with a malformed value here and there.
+_DOCUMENT = st.fixed_dictionaries(
+    {
+        "field": st.sampled_from(
+            ["Q", "Q", {"prime": 2}, {"prime": 3}, {"prime": 5}, {"prime": 4},
+             {"prime": 2**61 - 1}, {"prime": "5"}, {"prime": 1.5}, "F2", None]
+        ),
+        "dim": st.sampled_from([1, 2, 2, 3, 3, 0, 65, 10**30, True, "3", 2.5]),
+        "squares": st.one_of(
+            st.dictionaries(_LABEL, st.dictionaries(_LABEL, _SCALAR, max_size=3), max_size=3),
+            st.dictionaries(_LABEL, _JSON, max_size=2),
+        ),
+    },
+    optional={"basis": st.one_of(st.lists(_LABEL, max_size=3), _JSON)},
+)
+_FILE_BYTES = st.one_of(_DOCUMENT, _DOCUMENT, _JSON).map(
+    lambda d: json.dumps(d).encode()
+) | st.binary(max_size=12)
+# One well-formed command line per command, then stray tokens; numbers stay
+# small so that every command that runs finishes quickly.
+_COMMAND = st.sampled_from(
+    [
+        ["analyze", "DOC"],
+        ["hereditary", "DOC", "--saturated"],
+        ["hereditary", "DOC", "--limit", "3"],
+        ["maximal-ideals", "DOC", "--hyperplane-limit", "3"],
+        ["simple", "DOC"],
+        ["quotient", "DOC", "--set", "e2", "--out", "q.json"],
+        ["ideal", "DOC", "--generators", "-2,1"],
+        ["graph", "DOC", "--dot", "g.dot"],
+        ["verify", "DOC", "--trials", "1"],
+        ["verify", "--random", "--dim", "1:2", "--trials", "1"],
+        ["fuzz", "--count", "1", "--dim", "1:2", "--trials", "1"],
+        ["nope"],
+    ]
+)
+_TOKEN = st.sampled_from(
+    ["DOC", "missing.json", ".", "--json", "--all", "--maximal",
+     "--limit", "--seed", "--set", "--generators", "--field", "--dim",
+     "--density", "--trials", "-h", "0", "-1", "abc", "nan", "2:1", "65",
+     "Q", "4", "e1,e2", "", "1,0;0,1", "1,x"]
+)
+
+
+@given(_FILE_BYTES, _COMMAND, st.just([]) | st.lists(_TOKEN, min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_exit_contract_on_malformed_documents_and_argv(content, command, tokens):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        doc = os.path.join(work, "doc.json")
+        with open(doc, "wb") as fh:
+            fh.write(content)
+        argv = [doc if t == "DOC" else t for t in command + tokens]
+        os.chdir(work)  # --out and --dot write here
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv

@@ -31,7 +31,7 @@ def test_prime_field_rejects_fraction_syntax():
         parse_scalar("3/4", PrimeField(7))
 
 
-@pytest.mark.parametrize("p", [0, 1, 4, 9, 2**31 + 11])
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 2**31 + 11, 2**61 - 1])
 def test_bad_modulus(p):
     with pytest.raises(InputError):
         PrimeField(p)

@@ -33,6 +33,17 @@ def _random_digraph(rng, n, density=0.3):
     return Digraph.from_edges(n, edges)
 
 
+def _random_dag(rng, n, density=0.3):
+    order = rng.sample(range(n), n)
+    edges = [
+        (order[a], order[b])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < density
+    ]
+    return Digraph.from_edges(n, edges)
+
+
 # -- associated graph --------------------------------------------------------
 
 
@@ -188,13 +199,22 @@ def test_enumerate_saturated_members():
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
         edgeless(12).hereditary_sets(limit=100)
+    assert len(edgeless(3).hereditary_sets(limit=8)) == 8
+    with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary sets$"):
+        edgeless(3).hereditary_sets(limit=7)
+    with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary sets$"):
+        edgeless(3).hereditary_saturated_sets(limit=7)
 
 
 def test_enumeration_matches_brute_force_on_random_graphs():
     rng = random.Random(31)
+    graphs = [edgeless(0), edgeless(1), edgeless(9), cycle_graph(12)]
     for _ in range(40):
-        n = rng.randint(1, 8)
-        g = _random_digraph(rng, n)
+        n = rng.randint(1, 12)
+        density = rng.choice([0.1, 0.2, 0.3])
+        graphs.append(_random_digraph(rng, n, density))
+        graphs.append(_random_dag(rng, n, 2 * density))
+    for g in graphs:
         fast = g.hereditary_sets()
         brute = sorted(brute_force_hereditary(g), key=vertex_set_mask)
         assert fast == brute
@@ -203,6 +223,26 @@ def test_enumeration_matches_brute_force_on_random_graphs():
             for h2 in fast[:12]:
                 assert (h1 | h2) in set(fast)
                 assert (h1 & h2) in set(fast)
+
+
+def test_is_saturated_agrees_with_definition():
+    rng = random.Random(41)
+    graphs = [edgeless(0), edgeless(3), cycle_graph(4)]
+    graphs += [_random_dag(rng, rng.randint(1, 9), 0.3) for _ in range(20)]
+    graphs += [_random_digraph(rng, rng.randint(1, 9), 0.15) for _ in range(20)]
+    for g in graphs:
+        for h in g.hereditary_sets():
+            feeders = [
+                u
+                for u in range(g.n)
+                if u not in h and g.out[u] and all(v in h for v in g.out[u])
+            ]
+            assert g.is_saturated(h) == (not feeders)
+    g = six_dim_branching().graph
+    for bad in ({9}, {0, 6}, {-1, 2}):
+        vertex = next(v for v in bad if not 0 <= v < 6)
+        with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 0..5$"):
+            g.is_saturated(bad)
 
 
 def test_maximal_sets_agree_with_enumerated_maxima():
