@@ -3,7 +3,9 @@
 Exit codes: 0 success (and all properties hold), 1 verification failure,
 2 usage or input error.  ``EVOALG_MAX_ENUM`` overrides the hereditary
 enumeration limit.  Every command takes ``--json`` for the machine format;
-scalars stay exact strings there.
+scalars stay exact strings there.  ``simple`` looks for a proper nonzero
+ideal with the brute-force oracle when the subspace enumeration is small
+(prime fields only), and otherwise by the graph theorem.
 """
 
 from __future__ import annotations
@@ -179,8 +181,10 @@ def cmd_hereditary(args):
     else:
         mode = "all"
         sets = g.hereditary_sets(limit)
+    # The saturated enumeration keeps only saturated sets.
     entries = [
-        {"vertices": _labels(A, h), "saturated": g.is_saturated(h)} for h in sets
+        {"vertices": _labels(A, h), "saturated": args.saturated or g.is_saturated(h)}
+        for h in sets
     ]
     obj = {"mode": mode, "sets": entries}
     lines = [
@@ -234,28 +238,26 @@ def _exhaustive_feasible(algebra, cap=3000):
     return total <= cap
 
 
-def simplicity_verdicts(algebra, trials=60, seed=0):
+def simplicity_verdicts(algebra):
     """Graph verdict plus an ideal-search verdict for simplicity.
 
     The search is exhaustive (brute-force oracle) whenever the subspace
-    enumeration is small enough, else a seeded sample of generated ideals.
+    enumeration is small enough, else it follows the graph theorem of
+    ``ideals.find_proper_nonzero_ideal``.
     """
-    g = algebra.graph
-    graph_simple = g.is_simple()
+    graph_simple = algebra.graph.is_simple()
     if _exhaustive_feasible(algebra):
         method = "exhaustive"
-        witness = None
-        for s in oracle.brute_force_ideals(algebra):
-            if 0 < s.dim < algebra.n:
-                witness = s
-                break
-        found = witness is not None
-        witness_rows = list(witness.basis) if witness else None
+        witness = next(
+            (s for s in oracle.brute_force_ideals(algebra) if 0 < s.dim < algebra.n),
+            None,
+        )
     else:
-        method = "sampled"
-        ideal = ideals.find_proper_nonzero_ideal(algebra, trials=trials, seed=seed)
-        found = ideal is not None
-        witness_rows = list(ideal.subspace.basis) if ideal else None
+        method = "theorem"
+        ideal = ideals.find_proper_nonzero_ideal(algebra)
+        witness = ideal.subspace if ideal is not None else None
+    found = witness is not None
+    witness_rows = list(witness.basis) if found else None
     return {
         "graph_simple": graph_simple,
         "method": method,
@@ -266,7 +268,7 @@ def simplicity_verdicts(algebra, trials=60, seed=0):
 
 def cmd_simple(args):
     A = documents.load_algebra(args.file)
-    verdicts = simplicity_verdicts(A, seed=args.seed)
+    verdicts = simplicity_verdicts(A)
     perfect = A.is_perfect()
     note = None
     if not perfect:
@@ -473,7 +475,6 @@ def _build_parser():
 
     p = add("simple", cmd_simple, help="simplicity of the graph and the algebra")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("quotient", cmd_quotient, help="quotient by a hereditary vertex set")
     p.add_argument("file")
@@ -513,12 +514,13 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # argparse takes a value such as "-2,1" for an option; the "=" form is
-    # read as the value whatever its first character.
+    # argparse takes a value such as "-2,1" or "-a" for an option; the "="
+    # form is read as the value whatever its first character.
     argv = list(sys.argv[1:] if argv is None else argv)
-    while "--generators" in argv[:-1]:
-        k = argv.index("--generators")
-        argv[k : k + 2] = ["--generators=" + argv[k + 1]]
+    for flag in ("--generators", "--set"):
+        while flag in argv[:-1]:
+            k = argv.index(flag)
+            argv[k : k + 2] = [f"{flag}={argv[k + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

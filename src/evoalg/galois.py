@@ -22,7 +22,6 @@ from .errors import EnumerationLimitError
 from .graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from .ideals import (
     Ideal,
-    _coefficient_pool,
     _labels,
     _row_strings,
     ideal_closure,
@@ -164,6 +163,12 @@ class PropertyReport:
             "notices": list(self.notices),
             "properties": [p.to_json() for p in self.properties],
         }
+
+
+def _coefficient_pool(field):
+    if field.order is None:
+        return [field.from_int(k) for k in (-2, -1, 0, 1, 2)]
+    return [field.from_int(k) for k in range(field.order)]
 
 
 class _Ctx:

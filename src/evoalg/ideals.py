@@ -113,12 +113,12 @@ class Ideal:
 
         That span is a coordinate subspace, so the ideal must be the span of
         its basis vertices B, and a square lies in span(B) exactly when its
-        support lies in B.
+        support, the out-neighbours of its vertex, lies in B.
         """
         b = self.basis_vertices()
-        squares = self.algebra.squares
+        out = self.algebra.graph.out
         return len(b) == self.dim and b == frozenset(
-            i for i, sq in enumerate(squares) if support(sq) <= b
+            i for i, targets in enumerate(out) if b.issuperset(targets)
         )
 
     def is_spanned_by_basis_vertices(self):
@@ -323,31 +323,22 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
     return report
 
 
-def find_proper_nonzero_ideal(algebra, trials=50, seed=0):
-    """Search for a proper nonzero ideal: vertex spans of maximal hereditary
-    sets first, then closures of random single generators.  Returns an Ideal
-    or None; None after a perfect-graph-side verdict of simple is expected to
-    be definitive only when backed by the exhaustive oracle."""
-    import random
+def find_proper_nonzero_ideal(algebra):
+    """A proper nonzero ideal, or None when the algebra has none.
 
+    The vertex span of a nonempty maximal hereditary set is one.  Without
+    such a set the graph is strongly connected, and since ``e_j x = x_j e_j^2``
+    every nonzero ideal holds every square: A^2 is then the least nonzero
+    ideal, and there is none proper unless 0 < dim A^2 < n.
+    """
     A = algebra
     for h in A.graph.maximal_hereditary_sets():
         if h:
             return ideal_from_hereditary(A, h)
-    rng = random.Random(seed)
-    pool = _coefficient_pool(A.field)
-    for _ in range(trials):
-        vec = [rng.choice(pool) for _ in range(A.n)]
-        ideal = ideal_closure(A, [vec])
-        if ideal.is_proper and not ideal.is_zero:
-            return ideal
-    return None
-
-
-def _coefficient_pool(field):
-    if field.order is None:
-        return [field.from_int(k) for k in (-2, -1, 0, 1, 2)]
-    return [field.from_int(k) for k in range(field.order)]
+    sq = A.square_span
+    if sq.is_zero or sq.is_full:
+        return None
+    return Ideal(A, sq, _validated=True)
 
 
 def _row_strings(algebra, rows):

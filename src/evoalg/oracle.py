@@ -452,7 +452,8 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     Every compared subspace also has its ``ideal_closure`` checked against
     the least brute-force ideal holding it, and a ``maximal_ideals_report``
     that claims to be complete must list exactly the brute-force maximal
-    ideals.
+    ideals.  ``find_proper_nonzero_ideal`` must return None exactly when no
+    brute-force ideal is proper and nonzero, and one of them otherwise.
     """
     from . import graph as graph_mod
 
@@ -521,6 +522,11 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         if s.dim < A.n:
             if ideal.is_maximal() != (s.basis in brute_max_keys):
                 mismatches.append("is_maximal mismatch")
+
+    found = ideals_mod.find_proper_nonzero_ideal(A)
+    brute_proper = [s for s in brute_ideal_list if 0 < s.dim < A.n]
+    if not (found.subspace in brute_proper if found else not brute_proper):
+        mismatches.append("find_proper_nonzero_ideal disagrees with brute force")
 
     report = ideals_mod.maximal_ideals_report(A)
     if report["complete"] and _listed_maximal_ideals(A, report) != {

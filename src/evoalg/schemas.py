@@ -151,7 +151,7 @@ SIMPLE = {
         "ideal_search": {
             "type": "object",
             "properties": {
-                "method": {"enum": ["exhaustive", "sampled"]},
+                "method": {"enum": ["exhaustive", "theorem"]},
                 "proper_nonzero_ideal_found": {"type": "boolean"},
                 "witness": {"oneOf": [{"type": "null"}, _BASIS_ROWS]},
             },

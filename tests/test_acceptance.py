@@ -291,7 +291,7 @@ def test_acceptance_7_simplicity_equivalence():
             field=GF2, min_dim=2, max_dim=6, density=0.35, seed=80_000 + k
         )
         A = random_perfect_strongly_connected(spec)
-        v = simplicity_verdicts(A, seed=k)
+        v = simplicity_verdicts(A)
         algebra_simple = not v["proper_nonzero_ideal_found"]
         if algebra_simple != v["graph_simple"]:
             bad.append(f"strongly connected algebra {k}: verdicts diverge ({v})")
@@ -302,7 +302,7 @@ def test_acceptance_7_simplicity_equivalence():
             field=GF2, min_dim=2, max_dim=6, density=0.5, seed=90_000 + k
         )
         A = random_with_sinks(spec, min_sinks=1)
-        v = simplicity_verdicts(A, seed=k)
+        v = simplicity_verdicts(A)
         algebra_simple = not v["proper_nonzero_ideal_found"]
         if algebra_simple != v["graph_simple"]:
             bad.append(f"sink algebra {k}: verdicts diverge ({v})")

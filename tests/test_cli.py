@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evoalg
-from evoalg import InputError, algebra_from_document, algebra_to_document
+from evoalg import (
+    QQ,
+    EvolutionAlgebra,
+    InputError,
+    algebra_from_document,
+    algebra_to_document,
+)
 from evoalg.cli import main
 from evoalg.schemas import SCHEMAS
 
@@ -163,6 +170,53 @@ def test_simple_command_on_non_perfect_reports_caveat(six_file, capsys):
     assert obj["ideal_search"]["proper_nonzero_ideal_found"] is True
 
 
+def _cycle_with_loops(n, loop, step):
+    """e_i^2 = loop(i) e_i + step(i) e_(i+1 mod n): a strongly connected graph."""
+    squares = [[0] * n for _ in range(n)]
+    for i in range(n):
+        squares[i][i] = loop(i)
+        squares[i][(i + 1) % n] = step(i)
+    return EvolutionAlgebra(QQ, squares)
+
+
+def test_simple_on_strongly_connected_non_perfect_gives_square_span(tmp_path, capsys):
+    # The cycle products of the loop and step coefficients cancel, so the
+    # squares span a hyperplane A^2: a proper nonzero ideal.
+    A = _cycle_with_loops(8, lambda i: 3 ** ((i + 1) % 8), lambda i: -(3**i))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(algebra_to_document(A)))
+    code, out, _ = run_cli(capsys, "simple", str(path), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, SCHEMAS["simple"])
+    assert obj["perfect"] is False and obj["graph_simple"] is True
+    assert A.square_span.dim == 7
+    assert obj["ideal_search"] == {
+        "method": "theorem",
+        "proper_nonzero_ideal_found": True,
+        "witness": [[QQ.format(x) for x in row] for row in A.square_span.basis],
+    }
+
+
+def test_simple_on_perfect_strongly_connected_is_decided_by_the_theorem(
+    tmp_path, capsys
+):
+    A = _cycle_with_loops(16, lambda i: 2, lambda i: 1)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(algebra_to_document(A)))
+    code, out, _ = run_cli(capsys, "simple", str(path), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    jsonschema.validate(obj, SCHEMAS["simple"])
+    assert obj["perfect"] is True and obj["graph_simple"] is True
+    assert obj["algebra_simple"] is True
+    assert obj["ideal_search"] == {
+        "method": "theorem",
+        "proper_nonzero_ideal_found": False,
+        "witness": None,
+    }
+
+
 def test_quotient_round_trip(perfect_file, tmp_path, capsys):
     out_path = str(tmp_path / "quotient.json")
     code, out, _ = run_cli(
@@ -218,6 +272,16 @@ def test_ideal_generators_may_start_with_a_minus_sign(tmp_path, capsys):
         assert (code, out) == run_cli(
             capsys, "ideal", str(path), "--generators=-2,1", *extra
         )[:2]
+
+
+def test_quotient_set_may_start_with_a_minus_sign(tmp_path, capsys):
+    # -a is a sink, so {-a} is hereditary.
+    doc = {"field": "Q", "dim": 2, "basis": ["-a", "b"], "squares": {"b": {"-a": "1"}}}
+    path = tmp_path / "minus.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "quotient", str(path), "--set", "-a")
+    assert code == 0, err
+    assert (code, out) == run_cli(capsys, "quotient", str(path), "--set=-a")[:2]
 
 
 def test_ideal_command_rejects_bad_generators(six_file, capsys):
@@ -387,7 +451,7 @@ def test_closed_stdout_pipe_leaves_no_traceback():
 
 # -- exit contract ---------------------------------------------------------------
 
-_LABEL = st.sampled_from(["e1", "e2", "e1", "e2", "e3", "x", ""])
+_LABEL = st.sampled_from(["e1", "e2", "e1", "e2", "e3", "x", "", "-a", "-e1"])
 _SCALAR = st.one_of(
     st.sampled_from(["1", "-2", "1/2", "0", "3", "3/0", "abc", "", "7" * 5000]),
     st.integers(-5, 5),
@@ -427,6 +491,7 @@ _COMMAND = st.sampled_from(
         ["maximal-ideals", "DOC", "--hyperplane-limit", "3"],
         ["simple", "DOC"],
         ["quotient", "DOC", "--set", "e2", "--out", "q.json"],
+        ["quotient", "DOC", "--set", "-a", "--out", "q.json"],
         ["ideal", "DOC", "--generators", "-2,1"],
         ["graph", "DOC", "--dot", "g.dot"],
         ["verify", "DOC", "--trials", "1"],
@@ -439,16 +504,30 @@ _TOKEN = st.sampled_from(
     ["DOC", "missing.json", ".", "--json", "--all", "--maximal",
      "--limit", "--seed", "--set", "--generators", "--field", "--dim",
      "--density", "--trials", "-h", "0", "-1", "abc", "nan", "2:1", "65",
-     "Q", "4", "e1,e2", "", "1,0;0,1", "1,x"]
+     "Q", "4", "e1,e2", "", "1,0;0,1", "1,x", "-a", "-e1,e2", "--set=-a"]
 )
+# EVOALG_MAX_ENUM: unset, not an integer, not positive, small, too long.
+_ENUM_LIMIT = st.sampled_from([None, "abc", "0", "-3", "5", "7" * 5000])
 
 
-@given(_FILE_BYTES, _COMMAND, st.just([]) | st.lists(_TOKEN, min_size=1, max_size=2))
+@given(
+    _FILE_BYTES,
+    _COMMAND,
+    st.just([]) | st.lists(_TOKEN, min_size=1, max_size=2),
+    _ENUM_LIMIT,
+)
 @settings(max_examples=80, deadline=None)
-def test_exit_contract_on_malformed_documents_and_argv(content, command, tokens):
+def test_exit_contract_on_malformed_documents_and_argv(
+    content, command, tokens, enum_limit
+):
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as work:
+    before = os.environ.get("EVOALG_MAX_ENUM")
+    # patch.dict puts the environment back as it was after each example.
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(os.environ):
+        os.environ.pop("EVOALG_MAX_ENUM", None)
+        if enum_limit is not None:
+            os.environ["EVOALG_MAX_ENUM"] = enum_limit
         doc = os.path.join(work, "doc.json")
         with open(doc, "wb") as fh:
             fh.write(content)
@@ -459,5 +538,6 @@ def test_exit_contract_on_malformed_documents_and_argv(content, command, tokens)
                 code = main(argv)
         finally:
             os.chdir(cwd)
+    assert os.environ.get("EVOALG_MAX_ENUM") == before
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
