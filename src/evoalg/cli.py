@@ -129,6 +129,18 @@ def _print(text):
         os.close(devnull)
 
 
+def _write_file(path, text):
+    """Write a command's output to a file; a path that cannot be written is
+    an input error naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    _print(f"wrote {path}\n")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -317,10 +329,7 @@ def cmd_quotient(args):
     quotient = A.quotient_by_hereditary(h)
     text = documents.dumps_document(quotient)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-        return 0
+        return _write_file(args.out, text)
     _print(text)
     return 0
 
@@ -363,10 +372,7 @@ def cmd_graph(args):
     g = A.graph
     dot = g.to_dot()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        print(f"wrote {args.dot}")
-        return 0
+        return _write_file(args.dot, dot)
     obj = {
         "vertices": list(g.labels),
         "edges": [[g.labels[i], g.labels[j]] for i, j in g.edges],

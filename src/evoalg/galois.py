@@ -5,17 +5,26 @@ in I are monotone; restricted to hereditary-and-saturated sets on one side and
 absorption ideals on the other they form a monotone Galois connection, and on
 perfect finite-dimensional algebras the unrestricted pair already is one.
 
-`run_theorem_suite` evaluates a registry of such statements on one algebra:
-every law is checked on enumerated hereditary sets and on a seeded sample of
-generated ideals, instances whose hypotheses fail are tallied as
-not-applicable rather than passes, and the first counterexample (in a fixed
-deterministic order) is kept as a witness.
+`run_theorem_suite` evaluates a registry of such statements on one algebra.
+Most laws are a predicate over one family of instances: the enumerated
+hereditary sets, a seeded sample of generated ideals, the maximal ideals found
+among them, pairs of hereditary sets, or pairs of sampled ideals.  A predicate
+returns True or False for an instance it checks, or None when the instance
+fails the law's hypotheses; None is tallied as not-applicable, not as a pass.
+Each family lists its instances in a fixed deterministic order and keeps the
+first counterexample as the witness, which is built only when a check fails.
+The few laws of another shape (cross products, drawn families, one verdict
+per algebra) are written out by hand.  One run builds each derived value
+once: the vertex span of a hereditary set, the absorbing ideals and the
+maximal ideals.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
+from itertools import chain
 
 from . import oracle
 from .errors import EnumerationLimitError
@@ -54,11 +63,13 @@ def check_adjunction(algebra, hereditary, ideal: Ideal, restricted=False):
             raise ValueError("restricted adjunction requires a saturated set")
         if not ideal.has_absorption():
             raise ValueError("restricted adjunction requires an absorption ideal")
-    left = ideal.subspace.contains_subspace(
-        ideal_from_hereditary(algebra, h).subspace
-    )
-    right = h <= ideal.hereditary_vertices
-    return left == right
+    return _adjoint(ideal_from_hereditary(algebra, h), h, ideal)
+
+
+def _adjoint(span, hereditary, ideal):
+    """span(H) inside I iff H inside H(I), for ``span`` the vertex span of H."""
+    left = ideal.subspace.contains_subspace(span.subspace)
+    return left == (hereditary <= ideal.hereditary_vertices)
 
 
 def check_lattice_identities(algebra, hereditary_families=(), ideal_families=()):
@@ -74,11 +85,7 @@ def check_lattice_identities(algebra, hereditary_families=(), ideal_families=())
         union = frozenset().union(*family) if family else frozenset()
         if not algebra.graph.is_hereditary(union):
             raise ValueError("union of the family is not hereditary")
-        total = ideal_from_hereditary(algebra, union).subspace
-        acc = ideal_from_hereditary(algebra, frozenset()).subspace
-        for h in family:
-            acc = acc.sum(ideal_from_hereditary(algebra, h).subspace)
-        if acc != total:
+        if not _union_identity(partial(ideal_from_hereditary, algebra), family):
             return False
     for family in ideal_families:
         family = list(family)
@@ -93,6 +100,15 @@ def check_lattice_identities(algebra, hereditary_families=(), ideal_families=())
         if meet_ideal.hereditary_vertices != expected:
             return False
     return True
+
+
+def _union_identity(span, family):
+    """span(union of the family) = sum of the spans, for ``span(H)`` the
+    vertex span of H."""
+    acc = span(frozenset()).subspace
+    for h in family:
+        acc = acc.sum(span(h).subspace)
+    return acc == span(frozenset().union(*family)).subspace
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +142,16 @@ class PropertyResult:
 
     def skip(self):
         self.not_applicable += 1
+
+    def _tally(self, ok, witness):
+        """Count one instance: None is not applicable, and ``witness()``
+        runs only for the first failure."""
+        if ok is None:
+            self.skip()
+        elif ok or self.witness is not None:
+            self.record(ok)
+        else:
+            self.record(False, witness())
 
     def to_json(self):
         return {
@@ -172,7 +198,7 @@ def _coefficient_pool(field):
 
 
 class _Ctx:
-    """Shared data for one suite run."""
+    """Shared data for one suite run; each derived value is built once."""
 
     def __init__(self, algebra, trials, seed, enum_limit, max_pairs):
         self.A = algebra
@@ -181,6 +207,7 @@ class _Ctx:
         self.max_pairs = max_pairs
         self.full_set = frozenset(range(algebra.n))
         self.notices = []
+        self._spans = {}
         try:
             self.hered = self.G.hereditary_sets(enum_limit)
         except EnumerationLimitError:
@@ -193,6 +220,13 @@ class _Ctx:
         self.maxher = self.G.maximal_hereditary_sets()
         self.ideals = self._sample_ideals(trials)
 
+    def span(self, hereditary):
+        """The vertex span of a hereditary frozenset, as an ideal."""
+        ideal = self._spans.get(hereditary)
+        if ideal is None:
+            ideal = self._spans[hereditary] = ideal_from_hereditary(self.A, hereditary)
+        return ideal
+
     def _sample_ideals(self, trials):
         A = self.A
         seen = {}
@@ -202,16 +236,15 @@ class _Ctx:
             if key not in seen:
                 seen[key] = ideal
 
-        add(ideal_from_hereditary(A, frozenset()))
-        if self.hered is not None:
-            hs = self.hered if len(self.hered) <= 12 else (
-                list(self.maxher) + self.hered[:8] + [self.full_set]
-            )
-            for h in hs:
-                add(ideal_from_hereditary(A, h))
+        add(self.span(frozenset()))
+        if self.hered is None:
+            hs = self.maxher
+        elif len(self.hered) <= 12:
+            hs = self.hered
         else:
-            for h in self.maxher:
-                add(ideal_from_hereditary(A, h))
+            hs = list(self.maxher) + self.hered[:8] + [self.full_set]
+        for h in hs:
+            add(self.span(h))
         for i in range(min(A.n, 6)):
             add(ideal_closure(A, [A.unit(i)]))
         pool = _coefficient_pool(A.field)
@@ -221,6 +254,27 @@ class _Ctx:
                 for _ in range(self.rng.randint(1, 3))
             ]
             add(ideal_closure(A, gens))
+        return list(seen.values())
+
+    @cached_property
+    def absorbing(self):
+        return [i for i in self.ideals if i.has_absorption()]
+
+    @cached_property
+    def maximal_ideals(self):
+        """Maximal ideals among the vertex spans of maximal hereditary sets,
+        the square span when it is a hyperplane, and the sampled ideals; each
+        subspace once, in that order."""
+        A = self.A
+        seen = {}
+        for ideal in map(self.span, self.maxher):
+            if ideal.is_proper and ideal.is_maximal():
+                seen.setdefault(ideal.subspace, ideal)
+        if A.n - A.square_span.dim == 1:
+            seen.setdefault(A.square_span, Ideal(A, A.square_span, _validated=True))
+        for ideal in self.ideals:
+            if ideal.subspace not in seen and ideal.is_proper and ideal.is_maximal():
+                seen[ideal.subspace] = ideal
         return list(seen.values())
 
     def hered_pairs(self):
@@ -239,51 +293,214 @@ class _Ctx:
         return pairs[: self.max_pairs]
 
 
-# Each checker fills one PropertyResult from the shared context.
-
-def _p_hereditary_lattice(ctx, res):
-    for h1, h2 in ctx.hered_pairs():
-        ok = ctx.G.is_hereditary(h1 & h2) and ctx.G.is_hereditary(h1 | h2)
-        res.record(ok, {"H": _labels(ctx.A, h1), "H'": _labels(ctx.A, h2)})
+# -- families: the instances of a law as argument tuples, the witness key of
+# each argument, and how an argument is shown ---------------------------------
 
 
-def _p_span_of_intersection(ctx, res):
-    A = ctx.A
-    for h1, h2 in ctx.hered_pairs():
-        lhs = ideal_from_hereditary(A, h1 & h2).subspace
-        rhs = ideal_from_hereditary(A, h1).subspace.intersect(
-            ideal_from_hereditary(A, h2).subspace
-        )
-        res.record(lhs == rhs, {"H": _labels(A, h1), "H'": _labels(A, h2)})
+def _show_set(ctx, h):
+    return _labels(ctx.A, h)
 
 
-def _p_span_of_union(ctx, res):
-    A = ctx.A
-    for h1, h2 in ctx.hered_pairs():
-        s1 = ideal_from_hereditary(A, h1).subspace
-        s2 = ideal_from_hereditary(A, h2).subspace
-        union = ideal_from_hereditary(A, h1 | h2).subspace
-        ok = s1.sum(s2) == union
-        if ok and not (h1 & h2):
-            ok = union.dim == s1.dim + s2.dim
-        res.record(ok, {"H": _labels(A, h1), "H'": _labels(A, h2)})
+def _rows(ctx, ideal):
+    return _row_strings(ctx.A, ideal.subspace.basis)
 
 
-def _p_vertices_of_ideal_intersection(ctx, res):
-    A = ctx.A
-    for i1, i2 in ctx.ideal_pairs():
-        meet = Ideal(A, i1.subspace.intersect(i2.subspace), _validated=True)
-        ok = (
-            meet.hereditary_vertices
-            == i1.hereditary_vertices & i2.hereditary_vertices
-        )
-        res.record(
-            ok,
-            {
-                "I": _row_strings(A, i1.subspace.basis),
-                "J": _row_strings(A, i2.subspace.basis),
-            },
-        )
+def _hereditary_sets(ctx):
+    return zip(ctx.hered or ())
+
+
+def _sampled_ideals(ctx):
+    return zip(ctx.ideals)
+
+
+def _maximal_ideals(ctx):
+    return zip(ctx.maximal_ideals)
+
+
+_HEREDITARY = (_hereditary_sets, ("H",), _show_set)
+_IDEALS = (_sampled_ideals, ("I",), _rows)
+_MAXIMAL_IDEALS = (_maximal_ideals, ("I",), _rows)
+_HEREDITARY_PAIRS = (_Ctx.hered_pairs, ("H", "H'"), _show_set)
+_IDEAL_PAIRS = (_Ctx.ideal_pairs, ("I", "J"), _rows)
+
+
+def _random_subsets(ctx):
+    """Eight vertex sets, each with a random superset: the empty set, all
+    vertices and six drawn sets."""
+    n, rng = ctx.A.n, ctx.rng
+    sets = [frozenset(), ctx.full_set]
+    for _ in range(6):
+        sets.append(frozenset(rng.sample(range(n), rng.randint(0, n))))
+    for s in sets:
+        yield s, s | frozenset(rng.sample(range(n), rng.randint(0, n)))
+
+
+_RANDOM_SUBSETS = (_random_subsets, ("S",), _show_set)  # the superset unshown
+
+
+def _each(family, predicate, *more):
+    """The checker of a law made of (family, predicate) parts, run in order."""
+    parts = [(family, predicate), *zip(more[::2], more[1::2])]
+
+    def check(ctx, res):
+        for (instances, keys, show), pred in parts:
+            for args in instances(ctx):
+                res._tally(
+                    pred(ctx, *args),
+                    lambda: {k: show(ctx, x) for k, x in zip(keys, args)},
+                )
+
+    return check
+
+
+# -- predicates, one per law and family -----------------------------------------
+
+
+def _hereditary_lattice(ctx, h1, h2):
+    return ctx.G.is_hereditary(h1 & h2) and ctx.G.is_hereditary(h1 | h2)
+
+
+def _span_of_intersection(ctx, h1, h2):
+    meet = ctx.span(h1).subspace.intersect(ctx.span(h2).subspace)
+    return ctx.span(h1 & h2).subspace == meet
+
+
+def _span_of_union(ctx, h1, h2):
+    s1, s2 = ctx.span(h1).subspace, ctx.span(h2).subspace
+    union = ctx.span(h1 | h2).subspace
+    if s1.sum(s2) != union:
+        return False
+    return bool(h1 & h2) or union.dim == s1.dim + s2.dim
+
+
+def _vertices_of_ideal_intersection(ctx, i1, i2):
+    meet = Ideal(ctx.A, i1.subspace.intersect(i2.subspace), _validated=True)
+    return meet.hereditary_vertices == i1.hereditary_vertices & i2.hereditary_vertices
+
+
+def _galois_expansion_of_ideal(ctx, ideal):
+    closure = ctx.span(ideal.hereditary_vertices)
+    return closure.subspace.contains_subspace(ideal.subspace)
+
+
+def _galois_expansion_of_set(ctx, h):
+    return h <= ctx.span(h).hereditary_vertices
+
+
+def _span_full_iff_all_vertices(ctx, h):
+    return ctx.span(h).subspace.is_full == (h == ctx.full_set)
+
+
+def _closure_full_iff_squares_inside(ctx, ideal):
+    closure = ctx.span(ideal.hereditary_vertices)
+    return closure.subspace.is_full == ideal.subspace.contains_subspace(ctx.A.square_span)
+
+
+def _saturation_fixed_point(ctx, h):
+    # Sinks land in H(span(H)) unconditionally, so on degenerate algebras the
+    # fixed-point characterisation needs H to carry the annihilator vertices.
+    fixed = ctx.span(h).hereditary_vertices == h
+    return fixed == (ctx.G.is_saturated(h) and ctx.A.annihilator_vertices() <= h)
+
+
+def _vertex_trace_saturated(ctx, ideal):
+    h = ideal.hereditary_vertices
+    if h != ideal.basis_vertices():
+        return None
+    return ctx.G.is_saturated(h)
+
+
+def _vertices_of_vertex_span(ctx, h):
+    return ctx.span(h).basis_vertices() == h
+
+
+def _absorption_iff_saturated(ctx, h):
+    if ctx.A.is_degenerate():
+        return None
+    return ctx.span(h).has_absorption() == ctx.G.is_saturated(h)
+
+
+def _absorption_equivalences(ctx, ideal):
+    h = ideal.hereditary_vertices
+    a = ideal.has_absorption()
+    b = h == ideal.basis_vertices()
+    c = ideal.subspace == ctx.span(h).subspace
+    return a == b == c
+
+
+def _perfect_ideal_conclusions(ctx, ideal):
+    if not ctx.A.is_perfect():
+        return None
+    return (
+        ideal.subspace == ctx.span(ideal.hereditary_vertices).subspace
+        and ideal.has_absorption()
+        and ideal.is_spanned_by_basis_vertices()
+    )
+
+
+def _maximal_absorption(ctx, ideal):
+    if ideal.codim == 1 and ideal.subspace.contains_subspace(ctx.A.square_span):
+        return None
+    return ideal.has_absorption()
+
+
+def _maximal_cover_check(ctx, ideal):
+    return maximal_ideal_cover_check(ctx.A, ideal)
+
+
+def _vertex_span_strictly_monotone(ctx, h1, h2):
+    if h1 == h2:
+        return None
+    small, large = (h1, h2) if h1 < h2 else (h2, h1)
+    s1, s2 = ctx.span(small).subspace, ctx.span(large).subspace
+    if small < large:
+        return s2.contains_subspace(s1) and s1.dim < s2.dim
+    return s1 != s2  # incomparable: injectivity only
+
+
+def _quotient_preserves_hereditary(ctx, h1, h2):
+    if not h1 <= h2:
+        return None
+    keep = [v for v in range(ctx.A.n) if v not in h1]
+    renum = {v: i for i, v in enumerate(keep)}
+    return ctx.G.quotient(h1).is_hereditary(frozenset(renum[v] for v in h2 - h1))
+
+
+def _maximal_iff_quotient_simple(ctx, h):
+    if h == ctx.full_set:
+        return None
+    return (h in ctx.maxher) == ctx.G.quotient(h).is_simple()
+
+
+def _quotient_algebra_graph(ctx, h):
+    if h == ctx.full_set:
+        return None
+    return ctx.A.quotient_by_hereditary(h).graph == ctx.G.quotient(h)
+
+
+def _tree_closure_of_set(ctx, s, bigger):
+    G = ctx.G
+    t = G.tree(s)
+    return s <= t and G.tree(t) == t and G.is_hereditary(t) and t <= G.tree(bigger)
+
+
+def _tree_fixes_hereditary(ctx, h):
+    return ctx.G.tree(h) == h
+
+
+def _saturated_closure_minimal(ctx, h):
+    G = ctx.G
+    c = G.saturated_closure(h)
+    return (
+        G.is_hereditary(c)
+        and G.is_saturated(c)
+        and h <= c
+        and G.saturated_closure(c) == c
+        and not any(h <= s < c for s in ctx.her_sat)
+    )
+
+
+# -- laws of another shape ------------------------------------------------------
 
 
 def _p_vertex_map_monotone(ctx, res):
@@ -295,204 +512,27 @@ def _p_vertex_map_monotone(ctx, res):
                 res.skip()
                 continue
         ok = i1.hereditary_vertices <= i2.hereditary_vertices
-        res.record(
-            ok,
-            {
-                "I": _row_strings(ctx.A, i1.subspace.basis),
-                "J": _row_strings(ctx.A, i2.subspace.basis),
-            },
-        )
-
-
-def _p_expansions(ctx, res):
-    A = ctx.A
-    for ideal in ctx.ideals:
-        closure = ideal_from_hereditary(A, ideal.hereditary_vertices)
-        res.record(
-            closure.subspace.contains_subspace(ideal.subspace),
-            {"I": _row_strings(A, ideal.subspace.basis)},
-        )
-    for h in ctx.hered or []:
-        res.record(
-            h <= ideal_from_hereditary(A, h).hereditary_vertices,
-            {"H": _labels(A, h)},
-        )
-
-
-def _p_span_full_iff_all(ctx, res):
-    A = ctx.A
-    for h in ctx.hered or []:
-        span = ideal_from_hereditary(A, h)
-        res.record(
-            span.subspace.is_full == (h == ctx.full_set),
-            {"H": _labels(A, h)},
-        )
-
-
-def _p_closure_full_iff_squares_inside(ctx, res):
-    A = ctx.A
-    for ideal in ctx.ideals:
-        closure = ideal_from_hereditary(A, ideal.hereditary_vertices)
-        lhs = closure.subspace.is_full
-        rhs = ideal.subspace.contains_subspace(A.square_span)
-        res.record(lhs == rhs, {"I": _row_strings(A, ideal.subspace.basis)})
-
-
-def _p_saturation_fixed_point(ctx, res):
-    # Sinks land in H(span(H)) unconditionally, so on degenerate algebras the
-    # fixed-point characterisation needs H to carry the annihilator vertices.
-    A = ctx.A
-    sinks = A.annihilator_vertices()
-    for h in ctx.hered or []:
-        back = ideal_from_hereditary(A, h).hereditary_vertices
-        ok = (back == h) == (ctx.G.is_saturated(h) and sinks <= h)
-        res.record(ok, {"H": _labels(A, h)})
-
-
-def _p_vertex_trace_saturated(ctx, res):
-    for ideal in ctx.ideals:
-        h = ideal.hereditary_vertices
-        if h != ideal.basis_vertices():
-            res.skip()
-            continue
-        res.record(
-            ctx.G.is_saturated(h), {"I": _row_strings(ctx.A, ideal.subspace.basis)}
-        )
-
-
-def _p_vertices_of_vertex_span(ctx, res):
-    A = ctx.A
-    for h in ctx.hered or []:
-        res.record(
-            ideal_from_hereditary(A, h).basis_vertices() == h,
-            {"H": _labels(A, h)},
-        )
-
-
-def _p_absorption_iff_saturated(ctx, res):
-    A = ctx.A
-    if A.is_degenerate():
-        for _ in ctx.hered or []:
-            res.skip()
-        return
-    for h in ctx.hered or []:
-        ok = ideal_from_hereditary(A, h).has_absorption() == ctx.G.is_saturated(h)
-        res.record(ok, {"H": _labels(A, h)})
-
-
-def _p_absorption_equivalences(ctx, res):
-    A = ctx.A
-    for ideal in ctx.ideals:
-        a = ideal.has_absorption()
-        b = ideal.hereditary_vertices == ideal.basis_vertices()
-        c = ideal.subspace == ideal_from_hereditary(
-            A, ideal.hereditary_vertices
-        ).subspace
-        res.record(a == b == c, {"I": _row_strings(A, ideal.subspace.basis)})
-
-
-def _p_perfect_ideal_conclusions(ctx, res):
-    A = ctx.A
-    if not A.is_perfect():
-        for _ in ctx.ideals:
-            res.skip()
-        return
-    for ideal in ctx.ideals:
-        closure = ideal_from_hereditary(A, ideal.hereditary_vertices)
-        ok = (
-            ideal.subspace == closure.subspace
-            and ideal.has_absorption()
-            and ideal.is_spanned_by_basis_vertices()
-        )
-        res.record(ok, {"I": _row_strings(A, ideal.subspace.basis)})
-
-
-def _maximal_ideals_found(ctx):
-    found = []
-    seen = set()
-    for h in ctx.maxher:
-        ideal = ideal_from_hereditary(ctx.A, h)
-        if ideal.is_proper and ideal.is_maximal():
-            if ideal.subspace not in seen:
-                seen.add(ideal.subspace)
-                found.append(ideal)
-    sq = ctx.A.square_span
-    if ctx.A.n - sq.dim == 1:
-        hyper = Ideal(ctx.A, sq, _validated=True)
-        if hyper.subspace not in seen:
-            seen.add(hyper.subspace)
-            found.append(hyper)
-    for ideal in ctx.ideals:
-        if ideal.is_proper and ideal.is_maximal() and ideal.subspace not in seen:
-            seen.add(ideal.subspace)
-            found.append(ideal)
-    return found
-
-
-def _p_maximal_absorption(ctx, res):
-    A = ctx.A
-    for ideal in _maximal_ideals_found(ctx):
-        hyperplane_over_squares = ideal.codim == 1 and ideal.subspace.contains_subspace(
-            A.square_span
-        )
-        if hyperplane_over_squares:
-            res.skip()
-            continue
-        res.record(ideal.has_absorption(), {"I": _row_strings(A, ideal.subspace.basis)})
-
-
-def _p_cover_check(ctx, res):
-    for ideal in _maximal_ideals_found(ctx):
-        res.record(
-            maximal_ideal_cover_check(ctx.A, ideal),
-            {"I": _row_strings(ctx.A, ideal.subspace.basis)},
-        )
-
-
-def _p_strict_monotony(ctx, res):
-    A = ctx.A
-    for h1, h2 in ctx.hered_pairs():
-        if h1 == h2:
-            res.skip()
-            continue
-        small, large = (h1, h2) if h1 < h2 else (h2, h1)
-        s1 = ideal_from_hereditary(A, small).subspace
-        s2 = ideal_from_hereditary(A, large).subspace
-        if small < large:
-            ok = s2.contains_subspace(s1) and s1.dim < s2.dim
-        else:  # incomparable: injectivity only
-            ok = s1 != s2
-        res.record(ok, {"H": _labels(A, h1), "H'": _labels(A, h2)})
+        res._tally(ok, lambda: {"I": _rows(ctx, i1), "J": _rows(ctx, i2)})
 
 
 def _p_adjunction_restricted(ctx, res):
-    A = ctx.A
-    absorbing = [i for i in ctx.ideals if i.has_absorption()]
-    if A.is_degenerate():
-        for _ in ctx.her_sat:
-            for _ in absorbing:
-                res.skip()
+    if ctx.A.is_degenerate():
+        res.not_applicable += len(ctx.her_sat) * len(ctx.absorbing)
         return
     for h in ctx.her_sat:
-        for ideal in absorbing:
-            ok = check_adjunction(A, h, ideal, restricted=True)
-            res.record(
-                ok, {"H": _labels(A, h), "I": _row_strings(A, ideal.subspace.basis)}
-            )
+        for ideal in ctx.absorbing:
+            ok = _adjoint(ctx.span(h), h, ideal)
+            res._tally(ok, lambda: {"H": _show_set(ctx, h), "I": _rows(ctx, ideal)})
 
 
 def _p_adjunction_full_perfect(ctx, res):
-    A = ctx.A
-    if not A.is_perfect():
-        for _ in ctx.hered or []:
-            res.skip()
+    if not ctx.A.is_perfect():
+        res.not_applicable += len(ctx.hered or ())
         return
-    for h in ctx.hered or []:
+    for h in ctx.hered or ():
         for ideal in ctx.ideals:
-            ok = check_adjunction(A, h, ideal, restricted=False)
-            res.record(
-                ok, {"H": _labels(A, h), "I": _row_strings(A, ideal.subspace.basis)}
-            )
+            ok = _adjoint(ctx.span(h), h, ideal)
+            res._tally(ok, lambda: {"H": _show_set(ctx, h), "I": _rows(ctx, ideal)})
 
 
 def _p_union_families(ctx, res):
@@ -501,104 +541,32 @@ def _p_union_families(ctx, res):
     for _ in range(8):
         k = ctx.rng.randint(1, min(3, len(ctx.her_sat)))
         family = [ctx.rng.choice(ctx.her_sat) for _ in range(k)]
-        union = frozenset().union(*family)
-        if not ctx.G.is_saturated(union):
+        if not ctx.G.is_saturated(frozenset().union(*family)):
             res.skip()
             continue
-        ok = check_lattice_identities(ctx.A, hereditary_families=[family])
+        ok = _union_identity(ctx.span, family)
         res.record(ok, {"family": [_labels(ctx.A, h) for h in family]})
 
 
 def _p_intersection_families(ctx, res):
-    absorbing = [i for i in ctx.ideals if i.has_absorption()]
+    absorbing = ctx.absorbing
     if not absorbing:
         return
     for _ in range(8):
         k = ctx.rng.randint(1, min(3, len(absorbing)))
         family = [ctx.rng.choice(absorbing) for _ in range(k)]
         ok = check_lattice_identities(ctx.A, ideal_families=[family])
-        res.record(
-            ok, {"family": [_row_strings(ctx.A, i.subspace.basis) for i in family]}
-        )
-
-
-def _p_quotient_hereditary(ctx, res):
-    for h1, h2 in ctx.hered_pairs():
-        if not h1 <= h2:
-            res.skip()
-            continue
-        quotient = ctx.G.quotient(h1)
-        keep = [v for v in range(ctx.A.n) if v not in h1]
-        renum = {v: i for i, v in enumerate(keep)}
-        image = frozenset(renum[v] for v in h2 - h1)
-        res.record(
-            quotient.is_hereditary(image),
-            {"H": _labels(ctx.A, h1), "H'": _labels(ctx.A, h2)},
-        )
-
-
-def _p_maximal_iff_quotient_simple(ctx, res):
-    maxset = set(ctx.maxher)
-    for h in ctx.hered or []:
-        if h == ctx.full_set:
-            res.skip()
-            continue
-        ok = (h in maxset) == ctx.G.quotient(h).is_simple()
-        res.record(ok, {"H": _labels(ctx.A, h)})
-
-
-def _p_quotient_algebra_graph(ctx, res):
-    for h in ctx.hered or []:
-        if h == ctx.full_set:
-            res.skip()
-            continue
-        res.record(
-            ctx.A.quotient_by_hereditary(h).graph == ctx.G.quotient(h),
-            {"H": _labels(ctx.A, h)},
-        )
+        res.record(ok, {"family": [_rows(ctx, i) for i in family]})
 
 
 def _p_simplicity(ctx, res):
-    A = ctx.A
-    if not A.is_perfect():
+    if not ctx.A.is_perfect():
         res.skip()
         return
-    candidates = list(ctx.ideals) + [
-        ideal_from_hereditary(A, h) for h in (ctx.hered or ctx.maxher)
-    ]
-    witness = next(
-        (i for i in candidates if i.is_proper and not i.is_zero), None
-    )
+    candidates = chain(ctx.ideals, map(ctx.span, ctx.hered or ctx.maxher))
+    witness = next((i for i in candidates if i.is_proper and not i.is_zero), None)
     ok = ctx.G.is_simple() == (witness is None)
-    res.record(
-        ok,
-        {
-            "proper_nonzero_ideal": (
-                _row_strings(A, witness.subspace.basis) if witness else None
-            )
-        },
-    )
-
-
-def _p_tree_closure(ctx, res):
-    G = ctx.G
-    sets = [frozenset(), ctx.full_set]
-    for _ in range(6):
-        k = ctx.rng.randint(0, ctx.A.n)
-        sets.append(frozenset(ctx.rng.sample(range(ctx.A.n), k)))
-    for s in sets:
-        t = G.tree(s)
-        extra = ctx.rng.randint(0, ctx.A.n)
-        bigger = s | frozenset(ctx.rng.sample(range(ctx.A.n), extra))
-        ok = (
-            s <= t
-            and G.tree(t) == t
-            and G.is_hereditary(t)
-            and t <= G.tree(bigger)
-        )
-        res.record(ok, {"S": _labels(ctx.A, s)})
-    for h in ctx.hered or []:
-        res.record(G.tree(h) == h, {"H": _labels(ctx.A, h)})
+    res.record(ok, {"proper_nonzero_ideal": _rows(ctx, witness) if witness else None})
 
 
 def _p_maximal_agrees_with_enum(ctx, res):
@@ -607,30 +575,10 @@ def _p_maximal_agrees_with_enum(ctx, res):
         res.skip()
         return
     proper = [h for h in hs if h != ctx.full_set]
-    maxima = [
-        h
-        for h in proper
-        if not any(h < h2 for h2 in proper if h2 != h)
-    ]
+    maxima = [h for h in proper if not any(h < h2 for h2 in proper)]
     maxima.sort(key=vertex_set_mask)
-    res.record(
-        maxima == list(ctx.maxher),
-        {"expected": [_labels(ctx.A, h) for h in maxima]},
-    )
-
-
-def _p_saturated_closure_minimal(ctx, res):
-    G = ctx.G
-    for h in ctx.hered or []:
-        c = G.saturated_closure(h)
-        ok = (
-            G.is_hereditary(c)
-            and G.is_saturated(c)
-            and h <= c
-            and G.saturated_closure(c) == c
-            and not any(h <= s < c for s in ctx.her_sat)
-        )
-        res.record(ok, {"H": _labels(ctx.A, h)})
+    expected = [_labels(ctx.A, h) for h in maxima]
+    res.record(maxima == list(ctx.maxher), {"expected": expected})
 
 
 def _p_simple_iff_trivial_hereditary(ctx, res):
@@ -638,8 +586,7 @@ def _p_simple_iff_trivial_hereditary(ctx, res):
     if hs is None:
         res.skip()
         return
-    trivial = [frozenset(), ctx.full_set] if ctx.A.n else [frozenset()]
-    expected = sorted(set(trivial), key=vertex_set_mask)
+    expected = sorted({frozenset(), ctx.full_set}, key=vertex_set_mask)
     res.record(ctx.G.is_simple() == (hs == expected), {})
 
 
@@ -651,34 +598,34 @@ def _p_spanning_path(ctx, res):
 
 
 _REGISTRY = [
-    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", _p_hereditary_lattice),
-    ("span_of_intersection", "span(H & H') = span(H) & span(H')", _p_span_of_intersection),
-    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", _p_span_of_union),
-    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", _p_vertices_of_ideal_intersection),
+    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", _each(_HEREDITARY_PAIRS, _hereditary_lattice)),
+    ("span_of_intersection", "span(H & H') = span(H) & span(H')", _each(_HEREDITARY_PAIRS, _span_of_intersection)),
+    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", _each(_HEREDITARY_PAIRS, _span_of_union)),
+    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", _each(_IDEAL_PAIRS, _vertices_of_ideal_intersection)),
     ("vertex_map_monotone", "I <= J implies H(I) <= H(J)", _p_vertex_map_monotone),
-    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", _p_expansions),
-    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", _p_span_full_iff_all),
-    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", _p_closure_full_iff_squares_inside),
-    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", _p_saturation_fixed_point),
-    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", _p_vertex_trace_saturated),
-    ("vertices_of_vertex_span", "H = span(H) & B", _p_vertices_of_vertex_span),
-    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", _p_absorption_iff_saturated),
-    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", _p_absorption_equivalences),
-    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", _p_perfect_ideal_conclusions),
-    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", _p_maximal_absorption),
-    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", _p_cover_check),
-    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", _p_strict_monotony),
+    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", _each(_IDEALS, _galois_expansion_of_ideal, _HEREDITARY, _galois_expansion_of_set)),
+    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", _each(_HEREDITARY, _span_full_iff_all_vertices)),
+    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", _each(_IDEALS, _closure_full_iff_squares_inside)),
+    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", _each(_HEREDITARY, _saturation_fixed_point)),
+    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", _each(_IDEALS, _vertex_trace_saturated)),
+    ("vertices_of_vertex_span", "H = span(H) & B", _each(_HEREDITARY, _vertices_of_vertex_span)),
+    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", _each(_HEREDITARY, _absorption_iff_saturated)),
+    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", _each(_IDEALS, _absorption_equivalences)),
+    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", _each(_IDEALS, _perfect_ideal_conclusions)),
+    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", _each(_MAXIMAL_IDEALS, _maximal_absorption)),
+    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", _each(_MAXIMAL_IDEALS, _maximal_cover_check)),
+    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", _each(_HEREDITARY_PAIRS, _vertex_span_strictly_monotone)),
     ("adjunction_restricted", "saturated H, absorbing I: span(H) <= I iff H <= H(I)", _p_adjunction_restricted),
     ("adjunction_full_perfect", "perfect: span(H) <= I iff H <= H(I), unrestricted", _p_adjunction_full_perfect),
     ("union_family_identity", "span(union H_i) = sum span(H_i)", _p_union_families),
     ("intersection_family_identity", "H(meet I_i) = meet H(I_i)", _p_intersection_families),
-    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", _p_quotient_hereditary),
-    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", _p_maximal_iff_quotient_simple),
-    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", _p_quotient_algebra_graph),
+    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", _each(_HEREDITARY_PAIRS, _quotient_preserves_hereditary)),
+    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", _each(_HEREDITARY, _maximal_iff_quotient_simple)),
+    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", _each(_HEREDITARY, _quotient_algebra_graph)),
     ("simplicity_equivalence", "perfect: graph simple iff no proper nonzero ideal", _p_simplicity),
-    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", _p_tree_closure),
+    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", _each(_RANDOM_SUBSETS, _tree_closure_of_set, _HEREDITARY, _tree_fixes_hereditary)),
     ("maximal_agrees_with_enumeration", "maximal sets = maxima of the enumerated family", _p_maximal_agrees_with_enum),
-    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", _p_saturated_closure_minimal),
+    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", _each(_HEREDITARY, _saturated_closure_minimal)),
     ("simple_iff_trivial_hereditary", "graph simple iff hereditary family is {empty, all}", _p_simple_iff_trivial_hereditary),
     ("spanning_closed_path", "n >= 2: simple iff a closed path spans the graph", _p_spanning_path),
 ]

@@ -1,0 +1,138 @@
+"""Print one sha256 per program output, to compare two checkouts byte for byte.
+
+Run it from each checkout and diff the two listings:
+
+    python tests/output_digests.py > new.txt
+    python /path/to/other/checkout/tests/output_digests.py > old.txt
+    diff old.txt new.txt
+
+Each line is a label and the digest of one output: the exit code, stdout,
+stderr and any file the command wrote.  The outputs are every CLI command,
+through ``cli.main`` with and without ``--json``, on the example algebras of
+``helpers.py`` and on seeded random documents over Q, F2, F3 and F5, plus
+``run_fuzz(200).to_json()``.  The script imports the ``src`` tree next to it,
+so each checkout measures its own code.  Pytest does not collect it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
+
+import helpers  # noqa: E402
+from evoalg import PrimeField, QQ, algebra_to_document  # noqa: E402
+from evoalg.cli import main  # noqa: E402
+from evoalg.galois import run_fuzz  # noqa: E402
+from evoalg.oracle import RandomSpec, random_algebra  # noqa: E402
+
+EXAMPLES = (
+    "six_dim_branching",
+    "three_dim_perfect",
+    "mirror_pair",
+    "double_loop_pair",
+    "double_loop_plus_fixed",
+    "loop_feeding_pair",
+    "four_dim_non_maximal_span",
+    "four_dim_degenerate_funnel",
+    "four_dim_all_to_third",
+    "three_dim_collapsing",
+    "two_cycle",
+    "zero_algebra",
+)
+FIELDS = (("Q", QQ), ("F2", PrimeField(2)), ("F3", PrimeField(3)), ("F5", PrimeField(5)))
+
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def run(argv, written=None):
+    """Digest of one ``main`` call; ``written`` names a file it may write."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    parts = [code, stdout.getvalue(), stderr.getvalue()]
+    if written is not None and os.path.exists(written):
+        with open(written, encoding="utf-8") as fh:
+            parts.append(fh.read())
+        os.remove(written)
+    return digest(*parts)
+
+
+def document_commands(name, algebra):
+    """Every file command on one document, as (label, argv, written)."""
+    g = algebra.graph
+    n = algebra.n
+
+    def labels(vertices):
+        return ",".join(algebra.labels[i] for i in sorted(vertices))
+
+    maxher = [h for h in g.maximal_hereditary_sets() if len(h) < n]
+    hereditary = labels(maxher[0]) if maxher else ""
+    unit = ",".join("1" if i == 0 else "0" for i in range(n))
+    ones = ";".join([",".join(["1"] * n), unit])
+    yield "analyze", ["analyze", name], None
+    for mode in ("--all", "--maximal", "--saturated"):
+        yield f"hereditary {mode}", ["hereditary", name, mode], None
+    yield "hereditary --limit 2", ["hereditary", name, "--limit", "2"], None
+    yield "maximal-ideals", ["maximal-ideals", name], None
+    yield "maximal-ideals --hyperplane-limit 1", ["maximal-ideals", name, "--hyperplane-limit", "1"], None
+    yield "simple", ["simple", name], None
+    for label, value in (("maximal", hereditary), ("tree", labels(g.tree({n - 1})))):
+        if value:
+            yield f"quotient {label}", ["quotient", name, "--set", value], None
+            yield f"quotient {label} --out", ["quotient", name, "--set", value, "--out", "q.json"], "q.json"
+    yield "ideal unit", ["ideal", name, "--generators", unit], None
+    yield "ideal ones", ["ideal", name, "--generators", ones], None
+    yield "graph", ["graph", name], None
+    yield "graph --dot", ["graph", name, "--dot", "g.dot"], "g.dot"
+    yield "verify", ["verify", name, "--trials", "2", "--seed", "3"], None
+
+
+def documents():
+    for example in EXAMPLES:
+        yield example, getattr(helpers, example)()
+    for token, field in FIELDS:
+        for k in range(3):
+            spec = RandomSpec(field=field, min_dim=2, max_dim=5, density=0.3 + 0.25 * k, seed=k)
+            yield f"random-{token}-{k}", random_algebra(spec)
+
+
+def main_digests():
+    with tempfile.TemporaryDirectory() as work:
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for name, algebra in documents():
+                path = name + ".json"
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(algebra_to_document(algebra), fh)
+                for label, argv, written in document_commands(path, algebra):
+                    for extra in ([], ["--json"]):
+                        print(name, label, *extra, run(argv + extra, written))
+            for token, _ in FIELDS:
+                field = token[1:] if token != "Q" else "Q"
+                for seed in (0, 1):
+                    argv = ["verify", "--random", "--field", field, "--dim", "2:5", "--seed", str(seed)]
+                    for extra in ([], ["--json"]):
+                        print("verify --random", token, seed, *extra, run(argv + extra))
+            for extra in ([], ["--json"]):
+                print("fuzz --count 6", *extra, run(["fuzz", "--count", "6", "--seed", "4"] + extra))
+                print("error", *extra, run(["analyze", "missing.json"] + extra))
+        finally:
+            os.chdir(cwd)
+    print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
+
+
+if __name__ == "__main__":
+    main_digests()

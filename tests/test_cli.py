@@ -431,6 +431,16 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     }))
     code, out, err = run_cli(capsys, "maximal-ideals", str(wide), "--json")
     assert code == 2 and "digit limit" in err and out == ""
+    # Output files that cannot be written: a directory, a missing directory.
+    six = tmp_path / "six.json"
+    six.write_text(json.dumps(algebra_to_document(six_dim_branching())))
+    missing_dir = str(tmp_path / "no-such-dir" / "x.dot")
+    for argv, path in (
+        (["quotient", str(six), "--set", "e6", "--out", str(tmp_path)], str(tmp_path)),
+        (["graph", str(two), "--dot", missing_dir], missing_dir),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and f"cannot write {path}" in err and out == "", argv
 
 
 def test_closed_stdout_pipe_leaves_no_traceback():
@@ -504,7 +514,8 @@ _TOKEN = st.sampled_from(
     ["DOC", "missing.json", ".", "--json", "--all", "--maximal",
      "--limit", "--seed", "--set", "--generators", "--field", "--dim",
      "--density", "--trials", "-h", "0", "-1", "abc", "nan", "2:1", "65",
-     "Q", "4", "e1,e2", "", "1,0;0,1", "1,x", "-a", "-e1,e2", "--set=-a"]
+     "Q", "4", "e1,e2", "", "1,0;0,1", "1,x", "-a", "-e1,e2", "--set=-a",
+     "--out", "--dot"]
 )
 # EVOALG_MAX_ENUM: unset, not an integer, not positive, small, too long.
 _ENUM_LIMIT = st.sampled_from([None, "abc", "0", "-3", "5", "7" * 5000])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from evoalg import QQ, EvolutionAlgebra
+from evoalg.graph import Digraph
+from evoalg.linalg import Subspace
 from evoalg.galois import (
     check_adjunction,
     check_lattice_identities,
@@ -13,6 +15,7 @@ from evoalg.ideals import ideal_closure, ideal_from_hereditary
 
 from helpers import (
     double_loop_pair,
+    four_dim_degenerate_funnel,
     six_dim_branching,
     three_dim_perfect,
     two_cycle,
@@ -150,3 +153,79 @@ def test_fuzz_mixed_fields_cover_degenerate_and_perfect():
     by_name = {p.name: p for p in report.properties}
     assert by_name["perfect_ideal_conclusions"].checked > 0
     assert by_name["absorption_iff_saturated"].not_applicable > 0
+
+
+@pytest.fixture
+def lying_predicates(monkeypatch):
+    """A saturation test that answers the opposite, and a membership test
+    that rejects the zero vector and every vector of the whole space."""
+    is_saturated = Digraph.is_saturated
+    contains = Subspace.contains
+
+    def lying_is_saturated(self, vertices):
+        return not is_saturated(self, vertices)
+
+    def lying_contains(self, vec):
+        return contains(self, vec) and any(vec) and not self.is_full
+
+    monkeypatch.setattr(Digraph, "is_saturated", lying_is_saturated)
+    monkeypatch.setattr(Subspace, "contains", lying_contains)
+
+
+def test_failure_witnesses_are_pinned(lying_predicates):
+    # Hereditary-set, hereditary-pair, ideal, ideal-pair and maximal-ideal
+    # laws all fail here; each keeps its first counterexample in suite order.
+    report = run_theorem_suite(four_dim_degenerate_funnel(), trials=2, seed=0)
+    failing = {
+        p.name: (p.checked, p.failed, p.not_applicable, p.witness)
+        for p in report.properties
+        if p.failed
+    }
+    e1, e2, e3, e4 = (["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                      ["0", "0", "1", "0"], ["0", "0", "0", "1"])
+    assert failing == {
+        "vertices_of_ideal_intersection": (78, 9, 0, {"I": [e3], "J": [e1, e2, e3, e4]}),
+        "galois_expansions": (22, 12, 0, {"I": [e4]}),
+        "closure_full_iff_squares_inside": (12, 9, 0, {"I": [e3]}),
+        "saturation_fixed_point": (10, 5, 0, {"H": []}),
+        "vertex_trace_saturated": (2, 2, 10, {"I": []}),
+        "absorption_equivalences": (12, 4, 0, {"I": []}),
+        "maximal_cover_check": (5, 4, 0, {"I": [e1, e3, e4]}),
+        "vertex_span_strictly_monotone": (45, 8, 10, {"H": ["e3"], "H'": ["e1", "e2", "e3", "e4"]}),
+        "saturated_closure_minimal": (10, 10, 0, {"H": []}),
+    }
+
+
+def test_fuzz_failures_are_pinned(lying_predicates):
+    # Dense squares have no zero vertex, so the lying membership test keeps
+    # every hereditary vertex set hereditary and the corpus runs through.
+    report = run_fuzz(count=3, seed=0, max_dim=3, densities=(0.95,))
+    full3 = {"I": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    full2 = {"I": [["1", "0"], ["0", "1"]]}
+    empty_h, empty_i = {"H": []}, {"I": []}
+    expected = [
+        (0, "galois_expansions", full3),
+        (0, "saturation_fixed_point", empty_h),
+        (0, "vertex_trace_saturated", empty_i),
+        (0, "absorption_iff_saturated", empty_h),
+        (0, "absorption_equivalences", full3),
+        (0, "perfect_ideal_conclusions", full3),
+        (0, "saturated_closure_minimal", empty_h),
+        (1, "vertices_of_ideal_intersection", {**full2, "J": [["1", "1"]]}),
+        (1, "galois_expansions", full2),
+        (1, "saturation_fixed_point", empty_h),
+        (1, "vertex_trace_saturated", empty_i),
+        (1, "absorption_iff_saturated", empty_h),
+        (1, "absorption_equivalences", full2),
+        (1, "saturated_closure_minimal", empty_h),
+        (2, "galois_expansions", full2),
+        (2, "saturation_fixed_point", empty_h),
+        (2, "vertex_trace_saturated", empty_i),
+        (2, "absorption_iff_saturated", empty_h),
+        (2, "absorption_equivalences", full2),
+        (2, "saturated_closure_minimal", empty_h),
+    ]
+    assert report.failures == [
+        {"algebra_index": k, "property": name, "witness": witness}
+        for k, name, witness in expected
+    ]
