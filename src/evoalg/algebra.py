@@ -23,12 +23,12 @@ DIM_CAP = 64
 class EvolutionAlgebra:
     """Immutable evolution algebra value over an exact field."""
 
-    def __init__(self, field, squares, labels=None, dim_cap=DIM_CAP):
+    def __init__(self, field, squares, labels=None):
         n = len(squares)
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        if n > dim_cap:
-            raise ValueError(f"dimension {n} exceeds the cap {dim_cap}")
+        if n > DIM_CAP:
+            raise ValueError(f"dimension {n} exceeds the cap {DIM_CAP}")
         self.field = field
         self.squares = tuple(
             linalg.coerce_vector(field, sq, n) for sq in squares

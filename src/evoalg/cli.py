@@ -240,14 +240,15 @@ def cmd_maximal_ideals(args):
     return _emit(args, obj, "\n".join(lines))
 
 
-def _exhaustive_feasible(algebra, cap=3000):
+def _exhaustive_feasible(algebra):
+    """A prime field, at most ``SUBSPACE_GUARD`` vectors and 3000 subspaces."""
     if algebra.field.order is None:
         return False
     p, n = algebra.field.order, algebra.n
     if p**n > oracle.SUBSPACE_GUARD:
         return False
     total = sum(oracle.gaussian_binomial(n, k, p) for k in range(n + 1))
-    return total <= cap
+    return total <= 3000
 
 
 def simplicity_verdicts(algebra):

@@ -8,9 +8,12 @@ Vertex sets are ``frozenset`` instances over ``0..n-1``.  Wherever a family of
 vertex sets is returned, it is sorted by the bitmask integer with bit ``i``
 standing for vertex ``i``, which fixes a deterministic output order.
 
-Paths are never materialised: trees, strong connectivity and closed paths are
-all phrased through reachability, and hereditary sets are generated already in
-bitmask order, deciding vertices from the highest down.
+Paths are never materialised.  Reachability is one table, the vertex mask of
+everything each vertex reaches, and trees, components, strong connectivity and
+closed paths are all read off it; hereditary sets are generated already in
+bitmask order, deciding vertices from the highest down.  The table costs
+O(n^2) mask ORs, which is small because every graph the library builds comes
+from an algebra or its quotient, so n <= ``DIM_CAP`` = 64.
 """
 
 from __future__ import annotations
@@ -50,15 +53,18 @@ class Digraph:
     def __init__(self, n, out, labels=None):
         if n < 0:
             raise ValueError("negative vertex count")
-        out = tuple(tuple(sorted(set(targets))) for targets in out)
+        out = tuple(tuple(targets) for targets in out)
         if len(out) != n:
             raise ValueError(f"{len(out)} adjacency lists for {n} vertices")
         for i, targets in enumerate(out):
             for j in targets:
+                if not isinstance(j, int):
+                    raise ValueError(f"edge {i}->{j!r} does not end at an integer vertex")
+            for j in sorted(targets):
                 if not 0 <= j < n:
                     raise ValueError(f"edge {i}->{j} leaves the vertex range")
         self.n = n
-        self.out = out
+        self.out = tuple(tuple(sorted(set(targets))) for targets in out)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"e{i + 1}" for i in range(n)
         )
@@ -108,17 +114,26 @@ class Digraph:
 
     # -- reachability ------------------------------------------------------
 
+    @cached_property
+    def _reach_masks(self):
+        """Vertex mask of everything reachable from each vertex, itself included.
+
+        This is the graph's one reachability table: Warshall's transitive
+        closure on vertex masks, O(n^2) mask ORs for n <= ``DIM_CAP``.
+        """
+        reach = [1 << i | vertex_set_mask(t) for i, t in enumerate(self.out)]
+        for k in range(self.n):
+            rk, bit = reach[k], 1 << k
+            reach = [r | rk if r & bit else r for r in reach]
+        return tuple(reach)
+
     def tree(self, vertices):
         """All vertices reachable from the set, the set itself included."""
-        seen = set(self._check_vertices(vertices))
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            for v in self.out[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return frozenset(seen)
+        reach = self._reach_masks
+        m = 0
+        for v in self._check_vertices(vertices):
+            m |= reach[v]
+        return _mask_to_frozenset(m)
 
     def is_hereditary(self, vertices):
         vs = self._check_vertices(vertices)
@@ -141,13 +156,8 @@ class Digraph:
         if not self.is_hereditary(vs):
             raise ValueError("saturated closure requires a hereditary set")
         cur = set(vs)
-        changed = True
-        while changed:
-            changed = False
-            for u in range(self.n):
-                if u not in cur and self.out[u] and all(v in cur for v in self.out[u]):
-                    cur.add(u)
-                    changed = True
+        while new := [u for u, t in self._out_sets if u not in cur and cur.issuperset(t)]:
+            cur.update(new)
         return frozenset(cur)
 
     # -- strongly connected components --------------------------------------
@@ -156,58 +166,26 @@ class Digraph:
     def _condensation(self):
         """Components in topological order plus the condensation DAG.
 
-        Returns ``(components, comp_of, dag_out)`` with components sorted so
-        that every condensation edge goes from an earlier to a later entry,
-        ties broken by smallest member vertex.
+        Returns ``(components, dag_out)`` with components sorted so that every
+        condensation edge goes from an earlier to a later entry, ties broken
+        by smallest member vertex.  A component is a class of mutual
+        reachability in the one table ``_reach_masks``, found from its
+        smallest vertex in O(n^2) bit tests; n <= ``DIM_CAP`` for every
+        algebra graph.
         """
         n = self.n
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack = []
+        reach = self._reach_masks
         comps = []
-        counter = 0
-        for root in range(n):
-            if index[root] != -1:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for k in range(pi, len(self.out[v])):
-                    w = self.out[v][k]
-                    if index[w] == -1:
-                        work[-1] = (v, k + 1)
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(frozenset(comp))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+        comp_of = [-1] * n
+        for v in range(n):
+            if comp_of[v] < 0:
+                comp = frozenset(
+                    u for u in range(v, n) if reach[v] >> u & 1 and reach[u] >> v & 1
+                )
+                for u in comp:
+                    comp_of[u] = len(comps)
+                comps.append(comp)
 
-        comp_of = [0] * n
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
         dag = [set() for _ in comps]
         for i in range(n):
             for j in self.out[i]:
@@ -232,19 +210,17 @@ class Digraph:
                     heapq.heappush(heap, (min(comps[cj]), cj))
         renum = {old: new for new, old in enumerate(order)}
         components = tuple(comps[old] for old in order)
-        comp_of = tuple(renum[comp_of[v]] for v in range(n))
         dag_out = tuple(
             frozenset(renum[cj] for cj in dag[old]) for old in order
         )
-        return components, comp_of, dag_out
+        return components, dag_out
 
     def condensation(self):
         """The strongly connected components and the DAG between them."""
-        components, _, dag_out = self._condensation
-        return components, dag_out
+        return self._condensation
 
     def source_components(self):
-        components, _, dag_out = self._condensation
+        components, dag_out = self._condensation
         indeg = [0] * len(components)
         for targets in dag_out:
             for cj in targets:
@@ -260,7 +236,7 @@ class Digraph:
         source component of the condensation; when the whole graph is a single
         component the only proper hereditary set is the empty one.
         """
-        components, _, _ = self._condensation
+        components, _ = self._condensation
         if self.n == 0:
             return []
         if len(components) == 1:
@@ -269,19 +245,6 @@ class Digraph:
         out = [everything - c for c in self.source_components()]
         out.sort(key=vertex_set_mask)
         return out
-
-    @cached_property
-    def _reach_masks(self):
-        """Vertex mask of everything reachable from each vertex."""
-        components, comp_of, dag_out = self._condensation
-        k = len(components)
-        closure = [0] * k
-        for ci in range(k - 1, -1, -1):  # reverse topological order
-            m = vertex_set_mask(components[ci])
-            for cj in dag_out[ci]:
-                m |= closure[cj]
-            closure[ci] = m
-        return tuple(closure[c] for c in comp_of)
 
     def _hereditary_masks(self):
         """Every hereditary set as a mask, in increasing order.
@@ -324,7 +287,7 @@ class Digraph:
         """True when the only hereditary sets are empty and everything."""
         if self.n == 0:
             return False
-        components, _, _ = self._condensation
+        components, _ = self._condensation
         return len(components) == 1
 
     def has_spanning_closed_path(self):

@@ -223,9 +223,9 @@ def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
     return ideal.codim == 1 or h == b
 
 
-def _hyperplanes_over_square_span(algebra, limit):
-    """All codimension-one subspaces containing the square span, for prime
-    fields with (p^c - 1)/(p - 1) at most ``limit``; each is a maximal ideal."""
+def _hyperplanes_over_square_span(algebra):
+    """All (p^c - 1)/(p - 1) codimension-one subspaces containing the square
+    span, for prime fields; each is a maximal ideal."""
     A = algebra
     p = A.field.order
     sq = A.square_span
@@ -240,8 +240,6 @@ def _hyperplanes_over_square_span(algebra, limit):
         if next((x for x in v if x), 0) == 1
     )
     for coeffs in combos:
-        if len(out) >= limit:
-            break
         phi = [A.field.zero] * A.n
         for coef, fn in zip(coeffs, functionals):
             if coef:
@@ -287,7 +285,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         p = A.field.order
         total = (p**codim - 1) // (p - 1)
         if total <= hyperplane_limit:
-            hyperplanes = _hyperplanes_over_square_span(A, hyperplane_limit)
+            hyperplanes = _hyperplanes_over_square_span(A)
             family = {
                 "kind": "family",
                 "count": total,

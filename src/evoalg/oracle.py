@@ -4,10 +4,11 @@ Everything here is ground truth for certifying the fast algorithms, so none of
 it reuses their code paths: products are recomputed from the structure
 constants on raw integer vectors (bitmasks over F_2), membership is a lookup
 in an explicitly materialised element set, hereditary sets are swept over all
-2^n subsets with per-vertex reachability, saturation is read off the squares,
-idealness and absorption quantify literally over all p^n vectors with early
-exit on the first violation, and maximality is pairwise inclusion over the
-complete ideal list.
+2^n subsets with per-vertex reachability (which also gives trees, simplicity
+and source components), saturation is read off the squares, idealness and
+absorption quantify literally over all p^n vectors with early exit on the
+first violation, and maximality is pairwise inclusion over the complete ideal
+list.
 """
 
 from __future__ import annotations
@@ -296,15 +297,10 @@ def brute_force_maximal_ideals(algebra, ideals=None):
     return out
 
 
-def brute_force_hereditary(digraph):
-    """Hereditary sets by testing the tree condition on all 2^n subsets."""
-    n = digraph.n
-    if n > HEREDITARY_GUARD:
-        raise EnumerationLimitError(
-            f"2^{n} subsets exceed the brute-force hereditary guard"
-        )
+def _reach_sets(digraph):
+    """Per vertex, the set of vertices a depth-first search from it visits."""
     reach = []
-    for v in range(n):
+    for v in range(digraph.n):
         seen = {v}
         stack = [v]
         while stack:
@@ -313,10 +309,18 @@ def brute_force_hereditary(digraph):
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        m = 0
-        for u in seen:
-            m |= 1 << u
-        reach.append(m)
+        reach.append(frozenset(seen))
+    return reach
+
+
+def brute_force_hereditary(digraph):
+    """Hereditary sets by testing the tree condition on all 2^n subsets."""
+    n = digraph.n
+    if n > HEREDITARY_GUARD:
+        raise EnumerationLimitError(
+            f"2^{n} subsets exceed the brute-force hereditary guard"
+        )
+    reach = [sum(1 << u for u in seen) for seen in _reach_sets(digraph)]
     out = []
     for mask in range(1 << n):
         union = 0
@@ -448,7 +452,10 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     get the point-wise is_ideal comparison, while idealness is still decided
     brute-force on every subspace so that maximality stays ground truth.
     The hereditary sets, their saturated members and the maximal ones are
-    each compared with a brute-force family.
+    each compared with a brute-force family, and the tree of every vertex,
+    the simplicity of the graph and its source components (the classes of
+    mutual reachability that no outside vertex reaches, by smallest vertex)
+    with per-vertex searches.
     Every compared subspace also has its ``ideal_closure`` checked against
     the least brute-force ideal holding it, and a ``maximal_ideals_report``
     that claims to be complete must list exactly the brute-force maximal
@@ -478,6 +485,19 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     )
     if maxima != list(g.maximal_hereditary_sets()):
         mismatches.append("maximal hereditary sets differ from brute maxima")
+
+    reach = _reach_sets(g)
+    if [g.tree({v}) for v in range(A.n)] != reach:
+        mismatches.append("trees differ from per-vertex searches")
+    if g.is_simple() != all(r == full for r in reach):
+        mismatches.append("graph simplicity differs from per-vertex searches")
+    sources = []
+    for v in range(A.n):
+        comp = frozenset(u for u in reach[v] if v in reach[u])
+        if min(comp) == v and not any(u not in comp and v in reach[u] for u in range(A.n)):
+            sources.append(comp)
+    if list(g.source_components()) != sources:
+        mismatches.append("source components differ from per-vertex searches")
 
     if subspaces is None:
         subspaces = list(enumerate_subspaces(A.field, A.n))

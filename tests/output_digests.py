@@ -10,7 +10,9 @@ Each line is a label and the digest of one output: the exit code, stdout,
 stderr and any file the command wrote.  The outputs are every CLI command,
 through ``cli.main`` with and without ``--json``, on the example algebras of
 ``helpers.py`` and on seeded random documents over Q, F2, F3 and F5, plus
-``run_fuzz(200).to_json()``.  The script imports the ``src`` tree next to it,
+``run_fuzz(200).to_json()``, plus the graph results (components, condensation
+DAG, source components, maximal hereditary sets, trees and saturated closures)
+of seeded random ``Digraph``s with up to 64 vertices.  The script imports the ``src`` tree next to it,
 so each checkout measures its own code.  Pytest does not collect it.
 """
 
@@ -19,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -26,7 +29,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 
 import helpers  # noqa: E402
-from evoalg import PrimeField, QQ, algebra_to_document  # noqa: E402
+from evoalg import Digraph, PrimeField, QQ, algebra_to_document  # noqa: E402
 from evoalg.cli import main  # noqa: E402
 from evoalg.galois import run_fuzz  # noqa: E402
 from evoalg.oracle import RandomSpec, random_algebra  # noqa: E402
@@ -108,6 +111,34 @@ def documents():
             yield f"random-{token}-{k}", random_algebra(spec)
 
 
+def random_digraphs(count=60, max_n=64):
+    """Sparse seeded digraphs, so that components of every size appear."""
+    rng = random.Random(11)
+    for _ in range(count):
+        n = rng.randint(0, max_n)
+        density = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]) / max(n, 1)
+        out = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        yield Digraph(n, out)
+
+
+def graph_digests():
+    def sets(family):
+        return [sorted(s) for s in family]
+
+    for k, g in enumerate(random_digraphs()):
+        components, dag_out = g.condensation()
+        maximal = g.maximal_hereditary_sets()
+        for label, value in (
+            ("components", sets(components)),
+            ("dag_out", sets(dag_out)),
+            ("source_components", sets(g.source_components())),
+            ("maximal_hereditary_sets", sets(maximal)),
+            ("trees", sets(g.tree({v}) for v in range(g.n))),
+            ("saturated_closures", sets(g.saturated_closure(h) for h in maximal)),
+        ):
+            print("graph", k, f"n={g.n}", label, digest(value))
+
+
 def main_digests():
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -132,6 +163,7 @@ def main_digests():
         finally:
             os.chdir(cwd)
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
+    graph_digests()
 
 
 if __name__ == "__main__":

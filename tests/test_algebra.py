@@ -172,7 +172,6 @@ def test_quotient_graph_commutes_with_graph_quotient():
 def test_dimension_cap_and_label_validation():
     with pytest.raises(ValueError):
         EvolutionAlgebra(QQ, [[0] * 65 for _ in range(65)])
-    EvolutionAlgebra(QQ, [[0] * 65 for _ in range(65)], dim_cap=65)
     with pytest.raises(ValueError):
         EvolutionAlgebra(QQ, [[0, 0], [0, 0]], labels=("a", "a"))
     with pytest.raises(ValueError):

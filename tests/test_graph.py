@@ -385,3 +385,98 @@ def test_digraph_validation():
     with pytest.raises(ValueError):
         Digraph(2, [[0]])
     assert associated_graph(six_dim_branching()).n == 6
+
+
+# -- reachability, against definition loops ------------------------------------
+
+
+def _dfs_reach(g, v):
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in g.out[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def _pinned_graphs(max_n=64):
+    """Edgeless graphs, the 12-cycle, and sparse random digraphs and DAGs."""
+    rng = random.Random(2024)
+    graphs = [edgeless(0), edgeless(1), edgeless(7), cycle_graph(12)]
+    for _ in range(24):
+        n = rng.randint(0, max_n)
+        density = rng.choice([0.5, 1.0, 2.0, 3.0]) / max(n, 1)
+        graphs.append(_random_digraph(rng, n, density))
+        graphs.append(_random_dag(rng, n, 2 * density))
+    return graphs
+
+
+def test_tree_is_the_union_of_vertex_searches():
+    rng = random.Random(3)
+    for g in _pinned_graphs():
+        reach = [_dfs_reach(g, v) for v in range(g.n)]
+        assert [g.tree({v}) for v in range(g.n)] == reach
+        for _ in range(4):
+            s = rng.sample(range(g.n), rng.randint(0, g.n))
+            assert g.tree(s) == frozenset().union(*(reach[v] for v in s))
+
+
+def test_condensation_is_mutual_reachability_in_documented_order():
+    for g in _pinned_graphs():
+        reach = [_dfs_reach(g, v) for v in range(g.n)]
+        classes = {frozenset(u for u in reach[v] if v in reach[u]) for v in range(g.n)}
+        components, dag_out = g.condensation()
+        assert len(components) == len(classes) and set(components) == classes
+        pos = {v: ci for ci, c in enumerate(components) for v in c}
+        edges = [set() for _ in components]
+        for i, j in g.edges:
+            if pos[i] != pos[j]:
+                edges[pos[i]].add(pos[j])
+        assert [set(t) for t in dag_out] == edges
+        assert all(ci < cj for ci, t in enumerate(dag_out) for cj in t)
+        preds = [{ci for ci, t in enumerate(edges) if cj in t} for cj in range(len(edges))]
+        for k, comp in enumerate(components):
+            ready = [
+                c for c in components[k:]
+                if all(p < k for p in preds[components.index(c)])
+            ]
+            assert min(comp) == min(min(c) for c in ready)
+
+
+def test_sources_and_simplicity_match_definitions():
+    for g in _pinned_graphs():
+        reach = [_dfs_reach(g, v) for v in range(g.n)]
+        everything = frozenset(range(g.n))
+        components, _ = g.condensation()
+        sources = tuple(
+            c for c in components
+            if not any(u not in c and reach[u] & c for u in range(g.n))
+        )
+        assert g.source_components() == sources
+        assert [min(c) for c in sources] == sorted(min(c) for c in sources)
+        assert g.is_simple() == (g.n > 0 and all(r == everything for r in reach))
+
+
+def test_saturated_closure_adds_feeders_until_none_is_left():
+    for g in _pinned_graphs(max_n=9):
+        for h in g.hereditary_sets():
+            cur = set(h)
+            while True:
+                feeders = [
+                    u for u in range(g.n)
+                    if u not in cur and g.out[u] and all(v in cur for v in g.out[u])
+                ]
+                if not feeders:
+                    break
+                cur.update(feeders)
+            assert g.saturated_closure(h) == frozenset(cur)
+
+
+def test_digraph_rejects_non_integer_vertices():
+    for targets in ([1.0], ["1"], [None], [1, "a"]):
+        with pytest.raises(ValueError, match=r"^edge 0->.+ does not end at an integer vertex$"):
+            Digraph(2, [targets, []])
+    g = Digraph(2, [[True], [False]])
+    assert g.edges == ((0, 1), (1, 0)) and g.is_simple()
