@@ -84,7 +84,7 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
                 raise InputError(f"unknown basis label {target!r} in square of {lab!r}")
             if isinstance(text, str):
                 value = field.parse(text)
-            elif isinstance(text, int):
+            elif type(text) is int:  # JSON true/false are not scalars
                 value = field.from_int(text)
             else:
                 raise InputError(

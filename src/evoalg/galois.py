@@ -47,6 +47,8 @@ __all__ = [
     "run_theorem_suite",
 ]
 
+MAX_PAIRS = 400  # pairs per pair law: a seeded sample of hereditary pairs past it
+
 
 def check_adjunction(algebra, hereditary, ideal: Ideal, restricted=False):
     """One instance of the adjunction law: span(H) inside I iff H inside H_I.
@@ -200,11 +202,10 @@ def _coefficient_pool(field):
 class _Ctx:
     """Shared data for one suite run; each derived value is built once."""
 
-    def __init__(self, algebra, trials, seed, enum_limit, max_pairs):
+    def __init__(self, algebra, trials, seed, enum_limit):
         self.A = algebra
         self.G = algebra.graph
         self.rng = random.Random(seed)
-        self.max_pairs = max_pairs
         self.full_set = frozenset(range(algebra.n))
         self.notices = []
         self._spans = {}
@@ -282,15 +283,15 @@ class _Ctx:
         if hs is None:
             return []
         pairs = [(h1, h2) for i, h1 in enumerate(hs) for h2 in hs[i:]]
-        if len(pairs) > self.max_pairs:
-            pairs = self.rng.sample(pairs, self.max_pairs)
+        if len(pairs) > MAX_PAIRS:
+            pairs = self.rng.sample(pairs, MAX_PAIRS)
             pairs.sort(key=lambda p: (vertex_set_mask(p[0]), vertex_set_mask(p[1])))
         return pairs
 
     def ideal_pairs(self):
         ids = self.ideals
         pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i, len(ids))]
-        return pairs[: self.max_pairs]
+        return pairs[:MAX_PAIRS]
 
 
 # -- families: the instances of a law as argument tuples, the witness key of
@@ -646,14 +647,13 @@ def run_theorem_suite(
     trials=5,
     seed=0,
     enum_limit=DEFAULT_ENUM_LIMIT,
-    max_pairs=400,
 ) -> PropertyReport:
     """Evaluate the full property registry on one algebra.
 
     Deterministic for a fixed (algebra, trials, seed): the sampled ideals, the
     sampled pairs and the witness selection all derive from one seeded stream.
     """
-    ctx = _Ctx(algebra, trials, seed, enum_limit, max_pairs)
+    ctx = _Ctx(algebra, trials, seed, enum_limit)
     report = PropertyReport(
         algebra=_algebra_summary(algebra),
         seed=seed,

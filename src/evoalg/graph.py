@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 
 from .errors import EnumerationLimitError
 
@@ -64,6 +64,7 @@ class Digraph:
                 if not 0 <= j < n:
                     raise ValueError(f"edge {i}->{j} leaves the vertex range")
         self.n = n
+        self._vertices = frozenset(range(n))
         self.out = tuple(tuple(sorted(set(targets))) for targets in out)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"e{i + 1}" for i in range(n)
@@ -79,10 +80,12 @@ class Digraph:
         return cls(n, out, labels)
 
     def _check_vertices(self, vertices):
-        vs = frozenset(vertices)
-        if not vs or (0 <= min(vs) and max(vs) < self.n):
+        vs = frozenset(vertices)  # 1.0 == 1, so the subset test alone lets floats in
+        if vs <= self._vertices and all(map(isinstance, vs, repeat(int))):
             return vs
         for v in vs:
+            if not isinstance(v, int):
+                raise ValueError(f"vertex {v!r} is not an integer")
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
         return vs
@@ -241,8 +244,7 @@ class Digraph:
             return []
         if len(components) == 1:
             return [frozenset()]
-        everything = frozenset(range(self.n))
-        out = [everything - c for c in self.source_components()]
+        out = [self._vertices - c for c in self.source_components()]
         out.sort(key=vertex_set_mask)
         return out
 

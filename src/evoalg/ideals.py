@@ -47,13 +47,13 @@ def is_ideal(algebra, subspace):
     if subspace.ambient_dim != algebra.n or subspace.field != algebra.field:
         raise ValueError("subspace does not match the algebra")
     return all(
-        subspace.contains(algebra.squares[i]) for i in _column_support(subspace)
+        subspace.contains(algebra.squares[i]) for i in _column_support(subspace.basis)
     )
 
 
-def _column_support(subspace):
-    """Indices of the columns where some basis row is nonzero."""
-    return frozenset().union(*map(support, subspace.basis))
+def _column_support(rows):
+    """Indices of the columns where some row is nonzero."""
+    return frozenset().union(*map(support, rows))
 
 
 class Ideal:
@@ -101,12 +101,12 @@ class Ideal:
 
         In a reduced echelon basis the coordinate at pivot ``c`` of a member
         is its coefficient on the row of ``c``, so ``e_i`` is a member exactly
-        when ``i`` is a pivot whose row is ``e_i``.
+        when ``i`` is a pivot whose row is ``e_i``: entries before a pivot are
+        zero, so that row must be zero after it.
         """
         s = self.subspace
-        return frozenset(
-            c for row, c in zip(s.basis, s.pivots) if support(row) == {c}
-        )
+        rows = s.basis if s.field.order is None else s._ints()
+        return frozenset(c for row, c in zip(rows, s.pivots) if not any(row[c + 1 :]))
 
     def has_absorption(self):
         """True when the ideal equals the span of its hereditary vertices.
@@ -133,8 +133,7 @@ class Ideal:
         the vertex span of a maximal hereditary set and together with the
         square span fills the algebra.
         """
-        crit = self.maximality_criterion()
-        return crit is not None
+        return self.maximality_criterion() is not None
 
     def maximality_criterion(self):
         if not self.is_proper:
@@ -143,9 +142,10 @@ class Ideal:
         sq = A.square_span
         if self.subspace.contains_subspace(sq):
             return CRITERION_HYPERPLANE if self.codim == 1 else None
+        # With absorption I = span(B), so H(I) = {i : out(i) inside B} = B.
         if not self.has_absorption():
             return None
-        if self.hereditary_vertices not in A.graph.maximal_hereditary_sets():
+        if self.basis_vertices() not in A.graph.maximal_hereditary_sets():
             return None
         if self.subspace.sum(sq).is_full:
             return CRITERION_MAX_HEREDITARY
@@ -193,14 +193,14 @@ def ideal_closure(algebra, generators) -> Ideal:
     every index in supp(x), and then of every index in the support of those
     squares: the squares over the whole tree T of the generators' support.
     Their span together with the generators is supported inside T, so it is
-    already the ideal, and one elimination gives its canonical basis.
+    already the ideal.  The support of span(X) is the union of the supports
+    in X, so one elimination of X and those squares gives its basis.
     """
     n = algebra.n
-    span = rref(algebra.field, n, list(generators))
-    tree = algebra.graph.tree(_column_support(span))
+    gens = [linalg.coerce_vector(algebra.field, v, n) for v in generators]
+    tree = algebra.graph.tree(_column_support(gens))
     squares = [algebra.squares[j] for j in sorted(tree)]
-    span = rref(algebra.field, n, list(span.basis) + squares)
-    return Ideal(algebra, span, _validated=True)
+    return Ideal(algebra, rref(algebra.field, n, gens + squares), _validated=True)
 
 
 def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
@@ -225,28 +225,32 @@ def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
 
 def _hyperplanes_over_square_span(algebra):
     """All (p^c - 1)/(p - 1) codimension-one subspaces containing the square
-    span, for prime fields; each is a maximal ideal."""
+    span, for prime fields; each is a maximal ideal.  With d the last index
+    where a functional φ vanishing on the square span is nonzero, ker φ has
+    the reduced echelon rows e_j - (φ_j/φ_d)·e_d for j != d, pivoted at j
+    (φ_j = 0 for j > d, so no row has an entry before its pivot)."""
     A = algebra
-    p = A.field.order
-    sq = A.square_span
-    functionals = linalg.nullspace(A.field, A.n, sq.basis)
-    c = len(functionals)
+    n, p = A.n, A.field.order
+    functionals = linalg.nullspace(A.field, n, A.square_span.basis)
+    functionals = [[x.value for x in fn] for fn in functionals]
     out = []
     # Nonzero combinations whose first nonzero coefficient is one, in
     # lexicographic order: one functional per hyperplane.
     combos = (
         v
-        for v in itertools.product(range(p), repeat=c)
+        for v in itertools.product(range(p), repeat=len(functionals))
         if next((x for x in v if x), 0) == 1
     )
     for coeffs in combos:
-        phi = [A.field.zero] * A.n
-        for coef, fn in zip(coeffs, functionals):
-            if coef:
-                scal = A.field.from_int(coef)
-                phi = [a + scal * b for a, b in zip(phi, fn)]
-        kernel = rref(A.field, A.n, linalg.nullspace(A.field, A.n, [tuple(phi)]))
-        out.append(Ideal(A, kernel, _validated=True))
+        phi = [sum(c * f for c, f in zip(coeffs, col)) % p for col in zip(*functionals)]
+        d = max(k for k in range(n) if phi[k])
+        scale = -pow(phi[d], -1, p)
+        pivots = tuple(j for j in range(n) if j != d)
+        basis = tuple(
+            A.unit(j)[:d] + (A.field.from_int(scale * phi[j]),) + A.unit(j)[d + 1 :]
+            for j in pivots
+        )
+        out.append(Ideal(A, Subspace(A.field, n, basis, pivots), _validated=True))
     return out
 
 
@@ -313,11 +317,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         )
     report["from_maximal_hereditary"] = entries
 
-    complete = (
-        codim <= 1
-        or (finite and family.get("ideals") is not None)
-    )
-    report["complete"] = complete
+    report["complete"] = codim <= 1 or (finite and family["ideals"] is not None)
     return report
 
 

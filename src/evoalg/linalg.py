@@ -187,23 +187,20 @@ class Subspace:
         return rref(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other):
-        """Intersection, via the nullspace of the stacked coordinate system."""
+        """Intersection.  Reduction is linear, so x = sum(a_i u_i) lies in
+        ``other`` exactly when sum(a_i r_i) = 0 for r_i = ``other.reduce(u_i)``;
+        residuals vanish on the t pivot columns of ``other``, so the a are the
+        nullspace of the other n - t coordinates, in s unknowns."""
         self._check_compatible(other)
-        s, t = len(self.basis), len(other.basis)
-        if s == 0 or t == 0:
+        if not self.basis or not other.basis:
             return zero_subspace(self.field, self.ambient_dim)
-        # Unknowns (a_1..a_s, b_1..b_t) with sum(a_i u_i) + sum(b_j w_j) = 0;
-        # each coordinate of the ambient space contributes one equation.
-        eqs = [
-            tuple(self.basis[i][k] for i in range(s))
-            + tuple(other.basis[j][k] for j in range(t))
-            for k in range(self.ambient_dim)
-        ]
-        combos = nullspace(self.field, s + t, eqs)
+        pivots = set(other.pivots)
+        residuals = zip(*(other.reduce(u) for u in self.basis))
+        eqs = [col for k, col in enumerate(residuals) if k not in pivots]
         vecs = []
-        for combo in combos:
+        for combo in nullspace(self.field, len(self.basis), eqs):
             acc = [self.field.zero] * self.ambient_dim
-            for coef, row in zip(combo[:s], self.basis):
+            for coef, row in zip(combo, self.basis):
                 if coef:
                     acc = [a + coef * b for a, b in zip(acc, row)]
             vecs.append(acc)

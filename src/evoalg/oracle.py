@@ -347,12 +347,9 @@ class RandomSpec:
     min_dim: int = 2
     max_dim: int = 6
     density: float = 0.6
-    pool: tuple = ()
     seed: int = 0
 
     def coefficient_pool(self):
-        if self.pool:
-            return self.pool
         if self.field.order is None:
             return (-2, -1, 1, 2)
         return tuple(range(1, self.field.order))

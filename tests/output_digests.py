@@ -12,8 +12,13 @@ through ``cli.main`` with and without ``--json``, on the example algebras of
 ``helpers.py`` and on seeded random documents over Q, F2, F3 and F5, plus
 ``run_fuzz(200).to_json()``, plus the graph results (components, condensation
 DAG, source components, maximal hereditary sets, trees and saturated closures)
-of seeded random ``Digraph``s with up to 64 vertices.  The script imports the ``src`` tree next to it,
-so each checkout measures its own code.  Pytest does not collect it.
+of seeded random ``Digraph``s with up to 64 vertices, plus the linear-algebra
+results (ideal closures with their pivots, hereditary and basis vertices,
+absorption and maximality criterion; the errors for ragged and unparseable
+generators; ``maximal_ideals_report``; intersections of random subspace pairs)
+of seeded random algebras over Q, F2, F3, F5 and F7, a third of them with
+forced sinks.  The script imports the ``src`` tree next to it, so each
+checkout measures its own code.  Pytest does not collect it.
 """
 
 import contextlib
@@ -32,7 +37,9 @@ import helpers  # noqa: E402
 from evoalg import Digraph, PrimeField, QQ, algebra_to_document  # noqa: E402
 from evoalg.cli import main  # noqa: E402
 from evoalg.galois import run_fuzz  # noqa: E402
-from evoalg.oracle import RandomSpec, random_algebra  # noqa: E402
+from evoalg.ideals import ideal_closure, maximal_ideals_report  # noqa: E402
+from evoalg.linalg import rref  # noqa: E402
+from evoalg.oracle import RandomSpec, random_algebra, random_with_sinks  # noqa: E402
 
 EXAMPLES = (
     "six_dim_branching",
@@ -139,6 +146,58 @@ def graph_digests():
             print("graph", k, f"n={g.n}", label, digest(value))
 
 
+def linalg_digests(count=300):
+    """One line per seeded random algebra; the closures, reports and
+    intersections are drawn from a second seeded stream."""
+    fields = FIELDS + (("F7", PrimeField(7)),)
+    rng = random.Random(13)
+    for k in range(count):
+        token, field = fields[k % len(fields)]
+        spec = RandomSpec(
+            field=field,
+            min_dim=1,
+            max_dim=9 if field.order in (None, 2, 3) else 6,
+            density=rng.choice([0.1, 0.25, 0.4, 0.7]),
+            seed=k,
+        )
+        sinks = k % 3 == 2 and rng.randint(1, 3)
+        A = random_with_sinks(spec, min_sinks=sinks) if sinks else random_algebra(spec)
+        n = A.n
+        pool = (0, 0, 1, 2, -1) if field.order is None else (0, 0) + tuple(range(field.order))
+
+        def vectors(count):
+            return [[rng.choice(pool) for _ in range(n)] for _ in range(count)]
+
+        closures = []
+        for _ in range(4):
+            ideal = ideal_closure(A, vectors(rng.randint(0, 3)))
+            closures.append((
+                ideal.subspace.basis,
+                ideal.subspace.pivots,
+                sorted(ideal.hereditary_vertices),
+                sorted(ideal.basis_vertices()),
+                ideal.has_absorption(),
+                ideal.maximality_criterion() if ideal.is_proper else None,
+            ))
+        errors = []
+        for bad in ([[1] * (n + 1)], [["x"] * n], [[0] * n, [1] * (n + 2)], [["1/0"] * n]):
+            try:
+                ideal_closure(A, bad)
+            except Exception as exc:  # the type and text are the output
+                errors.append((type(exc).__name__, str(exc)))
+        meets = []
+        for _ in range(6):
+            U = rref(field, n, vectors(rng.randint(0, n)))
+            W = rref(field, n, vectors(rng.randint(0, n)))
+            meets.append((U.intersect(W).basis, W.intersect(U).pivots))
+        for label, value in (
+            ("closures", closures),
+            ("errors", errors),
+            ("maximal_ideals_report", json.dumps(maximal_ideals_report(A), sort_keys=True)),
+            ("intersections", meets),
+        ):
+            print("linalg", k, token, f"n={n}", label, digest(value))
+
 def main_digests():
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -164,6 +223,7 @@ def main_digests():
             os.chdir(cwd)
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
     graph_digests()
+    linalg_digests()
 
 
 if __name__ == "__main__":

@@ -99,6 +99,18 @@ def test_document_defaults_basis_and_sparse_zeros():
     assert not any(A.squares[1])
 
 
+def test_document_rejects_boolean_scalars(tmp_path, capsys):
+    # JSON true/false load as Python bools, which are ints; a scalar is not.
+    for value in (True, False):
+        doc = {"field": "Q", "dim": 1, "squares": {"e1": {"e1": value}}}
+        with pytest.raises(InputError, match="must be a string, got (True|False)$"):
+            algebra_from_document(doc)
+    path = tmp_path / "bool.json"
+    path.write_text('{"field": {"prime": 3}, "dim": 1, "squares": {"e1": {"e1": true}}}')
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: scalar for 'e1' -> 'e1' must be a string, got True\n"
+
 # -- commands --------------------------------------------------------------------
 
 
@@ -149,6 +161,100 @@ def test_maximal_ideals_command(perfect_file, capsys):
     assert obj["complete"] is True
     assert obj["from_maximal_hereditary"][0]["vertices"] == ["e2", "e3"]
 
+
+def _f3_one_loop(n):
+    """F3, e1^2 = e1 and every other square zero: A^2 = span(e1), codim n - 1."""
+    return {"field": {"prime": 3}, "dim": n, "squares": {"e1": {"e1": "1"}}}
+
+
+def _maximal_entries(*rows):
+    return [
+        {"vertices": list(vs), "dim": len(vs), "maximal": True, "criterion": crit}
+        for vs, crit in rows
+    ]
+
+
+def test_maximal_ideals_hyperplane_family_text_and_json(tmp_path, capsys):
+    # Four hyperplanes over span(e1) in F3^3, listed by their functional in
+    # lexicographic order; the last two rows (0,1,2) and (0,1,1) carry the
+    # sign of -phi_j/phi_d.  With --hyperplane-limit 1 the family is counted
+    # but not listed, so the report is not complete.
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(_f3_one_loop(3)))
+    entries = _maximal_entries(
+        (("e1", "e2"), "hyperplane_over_square_span"),
+        (("e1", "e3"), "hyperplane_over_square_span"),
+        (("e2", "e3"), "maximal_hereditary_set"),
+    )
+    family = [
+        [["1", "0", "0"], ["0", "1", "0"]],
+        [["1", "0", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "1", "2"]],
+        [["1", "0", "0"], ["0", "1", "1"]],
+    ]
+    for extra, shown, ideals, complete in (
+        ((), "enumerated", family, True),
+        (("--hyperplane-limit", "1"), "not enumerated", None, False),
+    ):
+        code, out, _ = run_cli(capsys, "maximal-ideals", str(path), *extra)
+        assert code == 0
+        assert out == (
+            "square span: dim 1 (codim 2)\n"
+            f"hyperplanes over the square span: 4 ({shown})\n"
+            "from maximal hereditary sets:\n"
+            "  {e1,e2}  dim 2  maximal (hyperplane_over_square_span)\n"
+            "  {e1,e3}  dim 2  maximal (hyperplane_over_square_span)\n"
+            "  {e2,e3}  dim 2  maximal (maximal_hereditary_set)\n"
+            f"complete: {'yes' if complete else 'no'}\n"
+        )
+        code, out, _ = run_cli(capsys, "maximal-ideals", str(path), *extra, "--json")
+        assert code == 0
+        expected = {
+            "dim": 3,
+            "field": {"prime": 3},
+            "perfect": False,
+            "square_span_dim": 1,
+            "square_span_codim": 2,
+            "square_span_basis": [["1", "0", "0"]],
+            "hyperplane_family": {"kind": "family", "count": 4, "ideals": ideals},
+            "from_maximal_hereditary": entries,
+            "complete": complete,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+        jsonschema.validate(json.loads(out), SCHEMAS["maximal-ideals"])
+
+
+def test_maximal_ideals_square_span_hyperplane_text_and_json(tmp_path, capsys):
+    path = tmp_path / "f3.json"
+    path.write_text(json.dumps(_f3_one_loop(2)))
+    code, out, _ = run_cli(capsys, "maximal-ideals", str(path))
+    assert code == 0
+    assert out == (
+        "square span: dim 1 (codim 1)\n"
+        "hyperplanes over the square span: the square span itself\n"
+        "from maximal hereditary sets:\n"
+        "  {e1}  dim 1  maximal (hyperplane_over_square_span)\n"
+        "  {e2}  dim 1  maximal (maximal_hereditary_set)\n"
+        "complete: yes\n"
+    )
+    code, out, _ = run_cli(capsys, "maximal-ideals", str(path), "--json")
+    assert code == 0
+    expected = {
+        "dim": 2,
+        "field": {"prime": 3},
+        "perfect": False,
+        "square_span_dim": 1,
+        "square_span_codim": 1,
+        "square_span_basis": [["1", "0"]],
+        "hyperplane_family": {"kind": "unique", "count": 1, "ideals": [[["1", "0"]]]},
+        "from_maximal_hereditary": _maximal_entries(
+            (("e1",), "hyperplane_over_square_span"),
+            (("e2",), "maximal_hereditary_set"),
+        ),
+        "complete": True,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+    jsonschema.validate(json.loads(out), SCHEMAS["maximal-ideals"])
 
 def test_simple_command(perfect_file, capsys):
     code, out, _ = run_cli(capsys, "simple", perfect_file, "--json")

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from evoalg import QQ, EvolutionAlgebra
+from evoalg import GF2, QQ, EvolutionAlgebra
 from evoalg.graph import Digraph
 from evoalg.linalg import Subspace
 from evoalg.galois import (
@@ -19,6 +20,7 @@ from helpers import (
     six_dim_branching,
     three_dim_perfect,
     two_cycle,
+    zero_algebra,
 )
 
 
@@ -130,6 +132,37 @@ def test_suite_is_deterministic():
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
     r3 = run_theorem_suite(A, trials=7, seed=124)
     assert json.dumps(r1.to_json()) != json.dumps(r3.to_json())
+
+
+@pytest.mark.parametrize(
+    "field, quotient_split, digest",
+    [
+        (QQ, (158, 242), "f02db1b0a208e130876d3754472d1be716cf25a11aa7ce2dc9aaf1dbc2e71554"),
+        (GF2, (154, 246), "02e80cbea4dce67020a3698ed543db642a92ae4bfe1c6ed8282f605ba2a86f40"),
+    ],
+)
+def test_suite_samples_hereditary_pairs_past_the_cap(field, quotient_split, digest):
+    # The zero algebra on 6 vertices has 64 hereditary sets and 2,080 pairs,
+    # so each hereditary pair law checks a seeded sample of 400 of them.
+    report = run_theorem_suite(zero_algebra(6, field)).to_json()
+    counts = {p["name"]: (p["checked"], p["not_applicable"]) for p in report["properties"]}
+    pair_laws = (
+        "hereditary_lattice",
+        "span_of_intersection",
+        "span_of_union",
+        "vertex_span_strictly_monotone",
+        "quotient_preserves_hereditary",
+    )
+    assert [counts[name] for name in pair_laws] == [
+        (400, 0),
+        (400, 0),
+        (400, 0),
+        (385, 15),
+        quotient_split,
+    ]
+    assert report["ok"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_suite_enumeration_overflow_is_reported_not_fatal():

@@ -480,3 +480,16 @@ def test_digraph_rejects_non_integer_vertices():
             Digraph(2, [targets, []])
     g = Digraph(2, [[True], [False]])
     assert g.edges == ((0, 1), (1, 0)) and g.is_simple()
+
+
+def test_vertex_sets_reject_non_integers():
+    # 1.0 == 1 and hashes alike, so a float used to pass the range test.
+    g = Digraph(2, [[1], []])
+    for method in (g.tree, g.is_hereditary, g.is_saturated, g.saturated_closure, g.quotient):
+        for bad in ({1.0}, {0, 1.0}, {"a"}, {None}):
+            with pytest.raises(ValueError, match=r"^vertex .+ is not an integer$"):
+                method(bad)
+    assert g.tree({True}) == {1}
+    assert g.is_saturated({False, True})
+    with pytest.raises(ValueError, match=r"^vertex 2 out of range 0\.\.1$"):
+        g.tree({0, 2})

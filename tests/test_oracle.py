@@ -271,6 +271,29 @@ def test_certification_on_small_random_algebras():
         assert result["mismatches"] == []
 
 
+@pytest.mark.parametrize("p, dims, count", [(3, (3, 3), 40), (5, (2, 3), 16)])
+def test_certification_over_odd_prime_fields(p, dims, count):
+    # Over F2, -x = x, so the sign in the hyperplane rows e_j - (phi_j/phi_d) e_d
+    # shows only over odd p, where the oracle's tuple branch of
+    # _brute_basis_vertices runs too.  Half the algebras have two forced
+    # sinks, so the square span has codimension at least two and the report
+    # enumerates a hyperplane family.
+    rng = random.Random(31 * p)
+    families = 0
+    for k in range(count):
+        spec = RandomSpec(
+            field=PrimeField(p),
+            min_dim=dims[0],
+            max_dim=dims[1],
+            density=rng.choice([0.3, 0.5, 0.8]),
+            seed=4000 + k,
+        )
+        A = random_with_sinks(spec, min_sinks=2) if k % 2 else random_algebra(spec)
+        families += A.n - A.square_span.dim >= 2
+        result = certify_fast_vs_brute(A)
+        assert result["mismatches"] == [], (p, k)
+    assert families >= count // 2
+
 def test_certification_sees_every_subspace_at_small_dims():
     A = three_dim_perfect(GF2)
     result = certify_fast_vs_brute(A)
