@@ -473,7 +473,7 @@ def _build_parser():
     mode.add_argument("--maximal", action="store_true", help="maximal ones only")
     mode.add_argument("--saturated", action="store_true", help="hereditary and saturated")
     p.add_argument(
-        "--limit", type=_in_range(int, 1), default=None, help="enumeration limit"
+        "--limit", type=_in_range(int, 1), default=None, help="most sets to list"
     )
 
     p = add("maximal-ideals", cmd_maximal_ideals, help="maximal ideal report")

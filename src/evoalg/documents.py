@@ -82,15 +82,11 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
         for target, text in column.items():
             if target not in index:
                 raise InputError(f"unknown basis label {target!r} in square of {lab!r}")
-            if isinstance(text, str):
-                value = field.parse(text)
-            elif type(text) is int:  # JSON true/false are not scalars
-                value = field.from_int(text)
-            else:
+            if not isinstance(text, str):
                 raise InputError(
                     f"scalar for {lab!r} -> {target!r} must be a string, got {text!r}"
                 )
-            squares[i][index[target]] = value
+            squares[i][index[target]] = field.parse(text)
     return EvolutionAlgebra(field, squares, labels)
 
 

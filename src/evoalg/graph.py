@@ -14,6 +14,10 @@ closed paths are all read off it; hereditary sets are generated already in
 bitmask order, deciding vertices from the highest down.  The table costs
 O(n^2) mask ORs, which is small because every graph the library builds comes
 from an algebra or its quotient, so n <= ``DIM_CAP`` = 64.
+
+Saturated hereditary sets come from the same walk, cut wherever the saturated
+closure of the chosen vertices meets an excluded one: every branch left holds
+that closure, so at most n + 1 sets are tested per saturated set returned.
 """
 
 from __future__ import annotations
@@ -45,6 +49,15 @@ def vertex_set_mask(vertices) -> int:
 
 def _mask_to_frozenset(mask: int) -> frozenset:
     return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
+def _take(items, limit):
+    """The items as a list; raises once ``limit`` (at least 1) is passed."""
+    cap = max(limit, 1)
+    out = list(islice(items, cap + 1))
+    if len(out) > cap:
+        raise EnumerationLimitError(f"more than {limit} hereditary sets")
+    return out
 
 
 class Digraph:
@@ -143,25 +156,35 @@ class Digraph:
         return all(v in vs for u in vs for v in self.out[u])
 
     @cached_property
-    def _out_sets(self):
-        return tuple((u, frozenset(t)) for u, t in enumerate(self.out) if t)
+    def _feeder_masks(self):
+        """``(bit of u, out-mask of u)`` for every vertex u with an edge."""
+        return tuple((1 << u, vertex_set_mask(t)) for u, t in enumerate(self.out) if t)
 
     def is_saturated(self, vertices):
-        vs = self._check_vertices(vertices)
-        for u, targets in self._out_sets:
-            if u not in vs and vs.issuperset(targets):
+        mask = vertex_set_mask(self._check_vertices(vertices))
+        for bit, targets in self._feeder_masks:
+            if targets & mask == targets and not mask & bit:
                 return False
         return True
+
+    def _saturate(self, mask):
+        """Least saturated superset of a mask: add every vertex whose nonempty
+        out-mask lies inside, until none is left."""
+        feeders = self._feeder_masks
+        while True:
+            before = mask
+            for bit, targets in feeders:
+                if targets & mask == targets:
+                    mask |= bit
+            if mask == before:
+                return mask
 
     def saturated_closure(self, vertices):
         """Smallest saturated superset of a hereditary set; stays hereditary."""
         vs = self._check_vertices(vertices)
         if not self.is_hereditary(vs):
             raise ValueError("saturated closure requires a hereditary set")
-        cur = set(vs)
-        while new := [u for u, t in self._out_sets if u not in cur and cur.issuperset(t)]:
-            cur.update(new)
-        return frozenset(cur)
+        return _mask_to_frozenset(self._saturate(vertex_set_mask(vs)))
 
     # -- strongly connected components --------------------------------------
 
@@ -248,12 +271,19 @@ class Digraph:
         out.sort(key=vertex_set_mask)
         return out
 
-    def _hereditary_masks(self):
+    def _hereditary_masks(self, saturated=False):
         """Every hereditary set as a mask, in increasing order.
 
         Vertices are decided from n-1 down to 0, "out" before "in".  A vertex
         may go in when its reach meets no excluded vertex; every node yields
         its chosen reach, so two yields are at most n steps apart.
+
+        With ``saturated`` a child is also cut when the saturated closure of
+        its chosen vertices meets an excluded vertex, since every saturated
+        set below it holds that closure.  A kept node has the closure itself,
+        hereditary and saturated, among its descendants, so every yield is
+        one of the at most n + 1 nodes on the path to a saturated set: at
+        most n + 1 yields per saturated set.
         """
         reach = self._reach_masks
         stack = [(self.n - 1, 0, 0)]
@@ -264,7 +294,9 @@ class Digraph:
                 bit = 1 << v
                 if not inc & bit:
                     if not reach[v] & exc:
-                        stack.append((v - 1, inc | reach[v], exc))
+                        child = inc | reach[v]
+                        if not (saturated and self._saturate(child) & exc):
+                            stack.append((v - 1, child, exc))
                     exc |= bit
 
     def hereditary_sets(self, limit=DEFAULT_ENUM_LIMIT):
@@ -273,15 +305,16 @@ class Digraph:
         The sets come from an in-order generator, and the limit is checked
         on its masks before any set is built.  A limit below 1 acts as 1.
         """
-        cap = max(limit, 1)
-        masks = list(islice(self._hereditary_masks(), cap + 1))
-        if len(masks) > cap:
-            raise EnumerationLimitError(f"more than {limit} hereditary sets")
-        return [_mask_to_frozenset(m) for m in masks]
+        return [_mask_to_frozenset(m) for m in _take(self._hereditary_masks(), limit)]
 
     def hereditary_saturated_sets(self, limit=DEFAULT_ENUM_LIMIT):
-        """Saturated hereditary sets by bitmask; ``limit`` counts hereditary sets."""
-        return [h for h in self.hereditary_sets(limit) if self.is_saturated(h)]
+        """Saturated hereditary sets, sorted by bitmask; may hit the limit.
+
+        ``limit`` counts the sets returned.  Only the cut walk's candidates,
+        at most n + 1 per saturated set, are built and tested.
+        """
+        candidates = map(_mask_to_frozenset, self._hereditary_masks(saturated=True))
+        return _take(filter(self.is_saturated, candidates), limit)
 
     # -- simplicity and quotients -------------------------------------------
 

@@ -88,5 +88,14 @@ def zero_algebra(n=3, field=QQ):
     return EvolutionAlgebra(field, [[0] * n for _ in range(n)])
 
 
+def disjoint_pairs(k, field=QQ):
+    """e_{2i+1}^2 = e_{2i+2} for i < k, other squares zero: k disjoint edges,
+    with 3^k hereditary vertex sets of which 2^k are saturated."""
+    n = 2 * k
+    return EvolutionAlgebra(
+        field, [[int(i % 2 == 0 and j == i + 1) for j in range(n)] for i in range(n)]
+    )
+
+
 def qq(a, b=1):
     return Fraction(a, b)

@@ -12,7 +12,8 @@ through ``cli.main`` with and without ``--json``, on the example algebras of
 ``helpers.py`` and on seeded random documents over Q, F2, F3 and F5, plus
 ``run_fuzz(200).to_json()``, plus the graph results (components, condensation
 DAG, source components, maximal hereditary sets, trees and saturated closures)
-of seeded random ``Digraph``s with up to 64 vertices, plus the linear-algebra
+of seeded random ``Digraph``s with up to 64 vertices and their hereditary
+saturated sets, in order, with up to 20 vertices, plus the linear-algebra
 results (ideal closures with their pivots, hereditary and basis vertices,
 absorption and maximality criterion; the errors for ragged and unparseable
 generators; ``maximal_ideals_report``; intersections of random subspace pairs)
@@ -144,6 +145,8 @@ def graph_digests():
             ("saturated_closures", sets(g.saturated_closure(h) for h in maximal)),
         ):
             print("graph", k, f"n={g.n}", label, digest(value))
+    for k, g in enumerate(random_digraphs(max_n=20)):
+        print("graph", k, f"n={g.n}", "hereditary_saturated_sets", digest(sets(g.hereditary_saturated_sets())))
 
 
 def linalg_digests(count=300):

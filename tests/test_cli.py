@@ -24,7 +24,7 @@ from evoalg import (
 from evoalg.cli import main
 from evoalg.schemas import SCHEMAS
 
-from helpers import six_dim_branching, three_dim_perfect, mirror_pair, two_cycle
+from helpers import disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle
 
 
 @pytest.fixture
@@ -111,6 +111,21 @@ def test_document_rejects_boolean_scalars(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: scalar for 'e1' -> 'e1' must be a string, got True\n"
 
+
+def test_document_rejects_integer_scalars(tmp_path, capsys):
+    # The document schema types every scalar as a string, so the loader does too.
+    for value in (5, 0, -3):
+        doc = {"field": "Q", "dim": 1, "squares": {"e1": {"e1": value}}}
+        with pytest.raises(InputError, match=f"must be a string, got {value}$"):
+            algebra_from_document(doc)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMAS["document"])
+    path = tmp_path / "int.json"
+    path.write_text('{"field": {"prime": 3}, "dim": 1, "squares": {"e1": {"e1": 5}}}')
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: scalar for 'e1' -> 'e1' must be a string, got 5\n"
+
 # -- commands --------------------------------------------------------------------
 
 
@@ -151,6 +166,18 @@ def test_hereditary_respects_env_limit(six_file, capsys, monkeypatch):
     monkeypatch.setenv("EVOALG_MAX_ENUM", "bogus")
     code, _, err = run_cli(capsys, "hereditary", six_file)
     assert code == 2
+
+
+def test_hereditary_saturated_limit_counts_saturated_sets(tmp_path, capsys):
+    # 3^13 hereditary sets, 2^13 saturated; the limit counts the listed ones.
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(algebra_to_document(disjoint_pairs(13))))
+    code, out, _ = run_cli(capsys, "hereditary", str(path), "--saturated", "--limit", "10000", "--json")
+    assert code == 0
+    assert len(json.loads(out)["sets"]) == 2**13
+    code, out, err = run_cli(capsys, "hereditary", str(path), "--saturated", "--limit", "8191")
+    assert (code, out) == (2, "")
+    assert err == "error: more than 8191 hereditary sets\n"
 
 
 def test_maximal_ideals_command(perfect_file, capsys):

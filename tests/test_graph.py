@@ -4,9 +4,10 @@ import pytest
 
 from evoalg import Digraph, EnumerationLimitError, QQ, associated_graph
 from evoalg.graph import vertex_set_mask
-from evoalg.oracle import brute_force_hereditary
+from evoalg.oracle import _saturated_by_squares, brute_force_hereditary
 
 from helpers import (
+    disjoint_pairs,
     loop_feeding_pair,
     six_dim_branching,
     three_dim_perfect,
@@ -204,6 +205,65 @@ def test_enumeration_limit():
         edgeless(3).hereditary_sets(limit=7)
     with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary sets$"):
         edgeless(3).hereditary_saturated_sets(limit=7)
+
+
+def test_saturated_limit_counts_saturated_sets():
+    # 3^13 = 1,594,323 hereditary sets, 2^13 = 8,192 of them saturated; the
+    # limit counts saturated sets, so the default one is not reached.
+    g = disjoint_pairs(13).graph
+    sat = g.hereditary_saturated_sets()
+    assert len(sat) == 2**13
+    assert sat == sorted(sat, key=vertex_set_mask)
+    assert all(h == g.saturated_closure(h) for h in sat[::97])
+    assert g.hereditary_saturated_sets(limit=2**13) == sat
+    with pytest.raises(EnumerationLimitError, match="^more than 8191 hereditary sets$"):
+        g.hereditary_saturated_sets(limit=2**13 - 1)
+
+
+def _saturated_cut_graph(k):
+    """u -> x -> y and s_i -> w_i -> y for i < k, ordered x, w, s, y, u.
+
+    Only the empty set and everything are saturated.  With u excluded and y
+    chosen, the closure needs two steps (x, then u) to meet the exclusion, so
+    a cut that only tests excluded vertices feeding into the chosen set keeps
+    all 2^k choices of the s_i: each s_i is excluded before w_i is decided.
+    """
+    x, y, u = 0, 2 * k + 1, 2 * k + 2
+    edges = [(u, x), (x, y)]
+    for i in range(k):
+        w, s = 1 + i, 1 + k + i
+        edges += [(s, w), (w, y)]
+    return Digraph.from_edges(2 * k + 3, edges)
+
+
+def _walk_graphs(seed):
+    rng = random.Random(seed)
+    graphs = [edgeless(0), edgeless(1), edgeless(9), cycle_graph(12), _saturated_cut_graph(8)]
+    graphs.append(Digraph(5, [[v] for v in range(5)]))  # self-loops only
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        density = rng.choice([0.1, 0.2, 0.3])
+        graphs.append(_random_digraph(rng, n, density))
+        graphs.append(_random_dag(rng, n, 2 * density))
+    return graphs
+
+
+def test_saturated_walk_matches_filter_and_brute_force():
+    for g in _walk_graphs(53):
+        sat = g.hereditary_saturated_sets()
+        assert sat == [h for h in g.hereditary_sets() if g.is_saturated(h)]
+        squares = [[int(j in g.out[i]) for j in range(g.n)] for i in range(g.n)]
+        brute = sorted(brute_force_hereditary(g), key=vertex_set_mask)
+        assert sat == [h for h in brute if _saturated_by_squares(squares, h)]
+
+
+def test_saturated_walk_tests_at_most_n_plus_one_sets_per_output():
+    for g in _walk_graphs(59):
+        outputs = len(g.hereditary_saturated_sets())
+        candidates = sum(1 for _ in g._hereditary_masks(saturated=True))
+        assert candidates <= (g.n + 1) * outputs
+    g = _saturated_cut_graph(8)
+    assert g.hereditary_saturated_sets() == [frozenset(), frozenset(range(g.n))]
 
 
 def test_enumeration_matches_brute_force_on_random_graphs():
