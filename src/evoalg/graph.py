@@ -9,11 +9,11 @@ vertex sets is returned, it is sorted by the bitmask integer with bit ``i``
 standing for vertex ``i``, which fixes a deterministic output order.
 
 Paths are never materialised.  Reachability is one table, the vertex mask of
-everything each vertex reaches, and trees, components, strong connectivity and
-closed paths are all read off it; hereditary sets are generated already in
-bitmask order, deciding vertices from the highest down.  The table costs
-O(n^2) mask ORs, which is small because every graph the library builds comes
-from an algebra or its quotient, so n <= ``DIM_CAP`` = 64.
+everything each vertex reaches, and trees, components and strong connectivity
+are all read off it; hereditary sets are generated already in bitmask order,
+deciding vertices from the highest down.  The table costs O(n^2) mask ORs,
+which is small because every graph the library builds comes from an algebra
+or its quotient, so n <= ``DIM_CAP`` = 64.
 
 Saturated hereditary sets come from the same walk, cut wherever the saturated
 closure of the chosen vertices meets an excluded one: every branch left holds
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 from .errors import EnumerationLimitError
 
@@ -37,6 +37,7 @@ __all__ = [
 
 DEFAULT_ENUM_LIMIT = 10**6
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
 
 
 def vertex_set_mask(vertices) -> int:
@@ -111,19 +112,11 @@ class Digraph:
     def edge_count(self):
         return sum(len(t) for t in self.out)
 
-    @cached_property
-    def _in_degree(self):
-        deg = [0] * self.n
-        for targets in self.out:
-            for j in targets:
-                deg[j] += 1
-        return tuple(deg)
-
     def sinks(self):
         return frozenset(i for i in range(self.n) if not self.out[i])
 
     def sources(self):
-        return frozenset(i for i in range(self.n) if self._in_degree[i] == 0)
+        return self._vertices - frozenset(chain.from_iterable(self.out))
 
     def bifurcations(self):
         return frozenset(i for i in range(self.n) if len(self.out[i]) >= 2)
@@ -246,30 +239,20 @@ class Digraph:
         return self._condensation
 
     def source_components(self):
+        """Components that no condensation edge enters, in topological order."""
         components, dag_out = self._condensation
-        indeg = [0] * len(components)
-        for targets in dag_out:
-            for cj in targets:
-                indeg[cj] += 1
-        return tuple(
-            components[ci] for ci in range(len(components)) if indeg[ci] == 0
-        )
+        entered = frozenset(chain.from_iterable(dag_out))
+        return tuple(c for ci, c in enumerate(components) if ci not in entered)
 
     def maximal_hereditary_sets(self):
-        """Complements of source components; ``[frozenset()]`` for one component.
+        """Complements of the source components, sorted by bitmask.
 
         A proper hereditary set is maximal exactly when its complement is a
-        source component of the condensation; when the whole graph is a single
-        component the only proper hereditary set is the empty one.
+        source component of the condensation.  A strongly connected graph is
+        its own source component, so its one maximal set is the empty one.
         """
-        components, _ = self._condensation
-        if self.n == 0:
-            return []
-        if len(components) == 1:
-            return [frozenset()]
-        out = [self._vertices - c for c in self.source_components()]
-        out.sort(key=vertex_set_mask)
-        return out
+        complements = (self._vertices - c for c in self.source_components())
+        return sorted(complements, key=vertex_set_mask)
 
     def _hereditary_masks(self, saturated=False):
         """Every hereditary set as a mask, in increasing order.
@@ -325,11 +308,6 @@ class Digraph:
         components, _ = self._condensation
         return len(components) == 1
 
-    def has_spanning_closed_path(self):
-        """True when one closed path visits every vertex: strongly connected
-        with at least one edge."""
-        return self.is_simple() and self.edge_count > 0
-
     def quotient(self, hereditary):
         """Remove a hereditary set; keep edges with both endpoints outside."""
         h = self._check_vertices(hereditary)
@@ -353,11 +331,14 @@ class Digraph:
 
     def to_dot(self):
         def quoted(s):
-            if s and (s[0].isalpha() or s[0] == "_") and all(
-                ch.isalnum() or ch == "_" for ch in s
+            if (
+                s
+                and (s[0].isalpha() or s[0] == "_")
+                and all(ch.isalnum() or ch == "_" for ch in s)
+                and s.lower() not in _DOT_KEYWORDS
             ):
                 return s
-            return '"' + s.replace('"', '\\"') + '"'
+            return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
         lines = ["digraph {"]
         for i in range(self.n):

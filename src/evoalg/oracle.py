@@ -452,7 +452,9 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     each compared with a brute-force family, and the tree of every vertex,
     the simplicity of the graph and its source components (the classes of
     mutual reachability that no outside vertex reaches, by smallest vertex)
-    with per-vertex searches.
+    with per-vertex searches.  The min generating vertex set must have the
+    least size of the 2^n subsets whose searches reach every vertex, and
+    its witness must be that large and reach every vertex.
     Every compared subspace also has its ``ideal_closure`` checked against
     the least brute-force ideal holding it, and a ``maximal_ideals_report``
     that claims to be complete must list exactly the brute-force maximal
@@ -495,6 +497,17 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
             sources.append(comp)
     if list(g.source_components()) != sources:
         mismatches.append("source components differ from per-vertex searches")
+    reach_bits = [sum(1 << u for u in r) for r in reach]
+    cover = [0]  # cover[mask]: the vertices the subset ``mask`` reaches
+    for mask in range(1, 1 << A.n):
+        low = mask & -mask
+        cover.append(cover[mask ^ low] | reach_bits[low.bit_length() - 1])
+    everything = (1 << A.n) - 1
+    least = min(bin(m).count("1") for m, c in enumerate(cover) if c == everything)
+    size, witness = g.min_generating_vertex_set()
+    reached = frozenset().union(*(reach[v] for v in witness))
+    if not size == least == len(witness) or reached != full:
+        mismatches.append("min generating vertex set differs from the subset sweep")
 
     if subspaces is None:
         subspaces = list(enumerate_subspaces(A.field, A.n))

@@ -11,15 +11,18 @@ stderr and any file the command wrote.  The outputs are every CLI command,
 through ``cli.main`` with and without ``--json``, on the example algebras of
 ``helpers.py`` and on seeded random documents over Q, F2, F3 and F5, plus
 ``run_fuzz(200).to_json()``, plus the graph results (components, condensation
-DAG, source components, maximal hereditary sets, trees and saturated closures)
-of seeded random ``Digraph``s with up to 64 vertices and their hereditary
-saturated sets, in order, with up to 20 vertices, plus the linear-algebra
-results (ideal closures with their pivots, hereditary and basis vertices,
-absorption and maximality criterion; the errors for ragged and unparseable
-generators; ``maximal_ideals_report``; intersections of random subspace pairs)
-of seeded random algebras over Q, F2, F3, F5 and F7, a third of them with
-forced sinks.  The script imports the ``src`` tree next to it, so each
-checkout measures its own code.  Pytest does not collect it.
+DAG, source components, maximal hereditary sets, trees, saturated closures,
+sources and simplicity) of seeded random ``Digraph``s with up to 64 vertices
+and their hereditary saturated sets, in order, with up to 20 vertices, plus
+the linear-algebra results (ideal closures with their pivots, hereditary and
+basis vertices, absorption and maximality criterion; the errors for ragged and
+unparseable generators; ``maximal_ideals_report``; intersections of random
+subspace pairs) of seeded random algebras over Q, F2, F3, F5 and F7, a third
+of them with forced sinks, plus ``run_theorem_suite`` reports at
+``enum_limit`` 20 and 100 on ``disjoint_pairs(4..6)`` and
+``zero_algebra(8..12)``, whose hereditary families pass those limits.  The
+script imports the ``src`` tree next to it, so each checkout measures its own
+code.  Pytest does not collect it.
 """
 
 import contextlib
@@ -37,7 +40,7 @@ sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 import helpers  # noqa: E402
 from evoalg import Digraph, PrimeField, QQ, algebra_to_document  # noqa: E402
 from evoalg.cli import main  # noqa: E402
-from evoalg.galois import run_fuzz  # noqa: E402
+from evoalg.galois import run_fuzz, run_theorem_suite  # noqa: E402
 from evoalg.ideals import ideal_closure, maximal_ideals_report  # noqa: E402
 from evoalg.linalg import rref  # noqa: E402
 from evoalg.oracle import RandomSpec, random_algebra, random_with_sinks  # noqa: E402
@@ -143,6 +146,8 @@ def graph_digests():
             ("maximal_hereditary_sets", sets(maximal)),
             ("trees", sets(g.tree({v}) for v in range(g.n))),
             ("saturated_closures", sets(g.saturated_closure(h) for h in maximal)),
+            ("sources", sorted(g.sources())),
+            ("is_simple", g.is_simple()),
         ):
             print("graph", k, f"n={g.n}", label, digest(value))
     for k, g in enumerate(random_digraphs(max_n=20)):
@@ -201,6 +206,16 @@ def linalg_digests(count=300):
         ):
             print("linalg", k, token, f"n={n}", label, digest(value))
 
+def suite_digests():
+    """Suite reports at limits that the hereditary family passes."""
+    algebras = [(f"disjoint_pairs({k})", helpers.disjoint_pairs(k)) for k in (4, 5, 6)]
+    algebras += [(f"zero_algebra({n})", helpers.zero_algebra(n)) for n in range(8, 13)]
+    for name, algebra in algebras:
+        for limit in (20, 100):
+            report = run_theorem_suite(algebra, enum_limit=limit).to_json()
+            print("suite", name, f"enum_limit={limit}", digest(json.dumps(report, sort_keys=True)))
+
+
 def main_digests():
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -227,6 +242,7 @@ def main_digests():
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
     graph_digests()
     linalg_digests()
+    suite_digests()
 
 
 if __name__ == "__main__":
