@@ -67,6 +67,10 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
         or not all(isinstance(x, str) for x in labels)
     ):
         raise InputError(f"basis must list {n} distinct labels")
+    try:
+        "".join(labels).encode()
+    except UnicodeEncodeError:
+        raise InputError("basis labels must encode as UTF-8") from None
     index = {lab: i for i, lab in enumerate(labels)}
 
     squares_doc = doc["squares"]
@@ -121,6 +125,8 @@ def load_algebra(path) -> EvolutionAlgebra:
     except ValueError as exc:
         # JSONDecodeError, or a number literal past the int-str digit limit.
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise InputError(f"{path}: not valid JSON (nested too deeply)") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return algebra_from_document(doc)

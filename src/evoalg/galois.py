@@ -6,25 +6,29 @@ absorption ideals on the other they form a monotone Galois connection, and on
 perfect finite-dimensional algebras the unrestricted pair already is one.
 
 `run_theorem_suite` evaluates a registry of such statements on one algebra.
-Most laws are a predicate over one family of instances: the enumerated
-hereditary sets, a seeded sample of generated ideals, the maximal ideals found
-among them, pairs of hereditary sets, or pairs of sampled ideals.  A predicate
-returns True or False for an instance it checks, or None when the instance
-fails the law's hypotheses; None is tallied as not-applicable, not as a pass.
-Each family lists its instances in a fixed deterministic order and keeps the
-first counterexample as the witness, which is built only when a check fails.
-The few laws of another shape (cross products, drawn families, one verdict
-per algebra) are written out by hand.  One run builds each derived value
-once: the vertex span of a hereditary set, the absorbing ideals and the
+Every law is a list of parts, each a predicate over one family of instances:
+the enumerated hereditary sets, a seeded sample of generated ideals, the
+maximal ideals found among them, pairs of hereditary sets or of sampled
+ideals, saturated sets by absorbing ideals, seeded draws of a few saturated
+sets or absorbing ideals, or the one instance of a verdict on the whole
+algebra.  A predicate returns True or False for an instance it checks, or None
+when the instance fails the law's hypotheses; None is tallied as
+not-applicable, not as a pass.  Each family lists its instances in a fixed
+deterministic order, names the witness key of each argument and how it is
+shown, and the first counterexample is kept as the witness, built only when a
+check fails.  Past MAX_PAIRS hereditary pairs, the pairs are drawn by position
+and decoded, so no list of all pairs is built.  One run builds each derived
+value once: the vertex span of a hereditary set, the absorbing ideals and the
 maximal ideals.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, islice, product
 
 from . import oracle
 from .errors import EnumerationLimitError
@@ -135,25 +139,17 @@ class PropertyResult:
             return "pass"
         return "not-applicable"
 
-    def record(self, ok, witness=None):
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if self.witness is None:
-                self.witness = witness or {}
-
-    def skip(self):
-        self.not_applicable += 1
-
     def _tally(self, ok, witness):
         """Count one instance: None is not applicable, and ``witness()``
         runs only for the first failure."""
         if ok is None:
-            self.skip()
-        elif ok or self.witness is not None:
-            self.record(ok)
-        else:
-            self.record(False, witness())
+            self.not_applicable += 1
+            return
+        self.checked += 1
+        if not ok:
+            self.failed += 1
+            if self.witness is None:
+                self.witness = witness()
 
     def to_json(self):
         return {
@@ -226,6 +222,7 @@ class _Ctx:
                 "hereditary saturated enumeration exceeded the limit; "
                 "laws over saturated sets were skipped"
             )
+        self.sat_masks = [vertex_set_mask(s) for s in self.her_sat]
         self.maxher = self.G.maximal_hereditary_sets()
         self.ideals = self._sample_ideals(trials)
 
@@ -241,9 +238,7 @@ class _Ctx:
         seen = {}
 
         def add(ideal):
-            key = ideal.subspace
-            if key not in seen:
-                seen[key] = ideal
+            seen.setdefault(ideal.subspace, ideal)
 
         add(self.span(frozenset()))
         if not self.hered:
@@ -286,22 +281,9 @@ class _Ctx:
                 seen[ideal.subspace] = ideal
         return list(seen.values())
 
-    def hered_pairs(self):
-        hs = self.hered
-        pairs = [(h1, h2) for i, h1 in enumerate(hs) for h2 in hs[i:]]
-        if len(pairs) > MAX_PAIRS:
-            pairs = self.rng.sample(pairs, MAX_PAIRS)
-            pairs.sort(key=lambda p: (vertex_set_mask(p[0]), vertex_set_mask(p[1])))
-        return pairs
 
-    def ideal_pairs(self):
-        ids = self.ideals
-        pairs = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i, len(ids))]
-        return pairs[:MAX_PAIRS]
-
-
-# -- families: the instances of a law as argument tuples, the witness key of
-# each argument, and how an argument is shown ---------------------------------
+# -- families: the instances of a law as argument tuples, then the witness key
+# of each argument with how it is shown ---------------------------------------
 
 
 def _show_set(ctx, h):
@@ -312,23 +294,57 @@ def _rows(ctx, ideal):
     return _row_strings(ctx.A, ideal.subspace.basis)
 
 
-def _hereditary_sets(ctx):
-    return zip(ctx.hered)
+def _listed(show):
+    return lambda ctx, items: [show(ctx, x) for x in items]
 
 
-def _sampled_ideals(ctx):
-    return zip(ctx.ideals)
+def _hereditary_pairs(ctx):
+    """Every pair (H, H') of enumerated sets, H not after H', in list order;
+    past MAX_PAIRS a seeded sample of them in that order.  Positions number
+    the pairs row by row and the sets are sorted by mask, so a sorted sample
+    of positions is the sample sorted by masks; no pair list is built."""
+    hs, m = ctx.hered, len(ctx.hered)
+    positions = range(m * (m + 1) // 2)
+    if len(positions) > MAX_PAIRS:
+        positions = sorted(ctx.rng.sample(positions, MAX_PAIRS))
+    i = start = 0  # row i holds the positions start .. start + m - i - 1
+    for p in positions:
+        while p >= start + m - i:
+            start += m - i
+            i += 1
+        yield hs[i], hs[i + p - start]
 
 
-def _maximal_ideals(ctx):
-    return zip(ctx.maximal_ideals)
+def _ideal_pairs(ctx):
+    """The first MAX_PAIRS pairs (I, J) of sampled ideals, I not after J."""
+    ids = ctx.ideals
+    return islice(((i, j) for k, i in enumerate(ids) for j in ids[k:]), MAX_PAIRS)
 
 
-_HEREDITARY = (_hereditary_sets, ("H",), _show_set)
-_IDEALS = (_sampled_ideals, ("I",), _rows)
-_MAXIMAL_IDEALS = (_maximal_ideals, ("I",), _rows)
-_HEREDITARY_PAIRS = (_Ctx.hered_pairs, ("H", "H'"), _show_set)
-_IDEAL_PAIRS = (_Ctx.ideal_pairs, ("I", "J"), _rows)
+def _draws(pool, ctx):
+    """Eight seeded draws of one to three members of ``ctx.<pool>``, or none."""
+    items = getattr(ctx, pool)
+    for _ in range(8 if items else 0):
+        k = ctx.rng.randint(1, min(3, len(items)))
+        yield [ctx.rng.choice(items) for _ in range(k)],
+
+
+def _proper_nonzero_ideal(ctx):
+    """One instance: the first proper nonzero ideal among the sampled ideals
+    and the spans of the hereditary sets (of the maximal ones when the
+    enumeration overflowed), or None."""
+    candidates = chain(ctx.ideals, map(ctx.span, ctx.hered or ctx.maxher))
+    yield next((i for i in candidates if i.is_proper and not i.is_zero), None),
+
+
+def _enumerated_maxima(ctx):
+    """One instance: the maxima of the enumerated proper hereditary sets, or
+    None when the enumeration overflowed or lists more than 512 sets."""
+    hs = ctx.hered
+    if not hs or len(hs) > 512:
+        return [(None,)]
+    proper = [h for h in hs if h != ctx.full_set]
+    return [([h for h in proper if not any(h < h2 for h2 in proper)],)]
 
 
 def _random_subsets(ctx):
@@ -342,22 +358,32 @@ def _random_subsets(ctx):
         yield s, s | frozenset(rng.sample(range(n), rng.randint(0, n)))
 
 
-_RANDOM_SUBSETS = (_random_subsets, ("S",), _show_set)  # the superset unshown
-
-
-def _each(family, predicate, *more):
-    """The checker of a law made of (family, predicate) parts, run in order."""
-    parts = [(family, predicate), *zip(more[::2], more[1::2])]
-
-    def check(ctx, res):
-        for (instances, keys, show), pred in parts:
-            for args in instances(ctx):
-                res._tally(
-                    pred(ctx, *args),
-                    lambda: {k: show(ctx, x) for k, x in zip(keys, args)},
-                )
-
-    return check
+_H, _I = ("H", _show_set), ("I", _rows)
+_HEREDITARY = (lambda ctx: zip(ctx.hered), (_H,))
+_IDEALS = (lambda ctx: zip(ctx.ideals), (_I,))
+_MAXIMAL_IDEALS = (lambda ctx: zip(ctx.maximal_ideals), (_I,))
+_HEREDITARY_PAIRS = (_hereditary_pairs, (_H, ("H'", _show_set)))
+_IDEAL_PAIRS = (_ideal_pairs, (_I, ("J", _rows)))
+# Ideal pairs, lower dimension first: a nested pair shows the smaller ideal as I.
+_IDEAL_PAIRS_BY_DIM = (
+    lambda ctx: ((j, i) if i.dim > j.dim else (i, j) for i, j in _ideal_pairs(ctx)),
+    (_I, ("J", _rows)),
+)
+_SATURATED_BY_ABSORBING = (lambda ctx: product(ctx.her_sat, ctx.absorbing), (_H, _I))
+# Perfection fails for all pairs at once, so a non-perfect algebra gives each H once.
+_HEREDITARY_BY_IDEALS = (
+    lambda ctx: product(ctx.hered, ctx.ideals if ctx.A.is_perfect() else [None]),
+    (_H, _I),
+)
+_SATURATED_DRAWS = (partial(_draws, "her_sat"), (("family", _listed(_show_set)),))
+_ABSORBING_DRAWS = (partial(_draws, "absorbing"), (("family", _listed(_rows)),))
+_PROPER_NONZERO_IDEAL = (
+    _proper_nonzero_ideal,
+    (("proper_nonzero_ideal", lambda ctx, i: None if i is None else _rows(ctx, i)),),
+)
+_ENUMERATED_MAXIMA = (_enumerated_maxima, (("expected", _listed(_show_set)),))
+_ONCE = (lambda ctx: [()], ())
+_RANDOM_SUBSETS = (_random_subsets, (("S", _show_set),))  # the superset unshown
 
 
 # -- predicates, one per law and family -----------------------------------------
@@ -498,134 +524,92 @@ def _tree_fixes_hereditary(ctx, h):
 def _saturated_closure_minimal(ctx, h):
     G = ctx.G
     c = G.saturated_closure(h)
+    # A set s with h <= s < c has a mask in [mask(h), mask(c)).
+    lo = bisect_left(ctx.sat_masks, vertex_set_mask(h))
+    hi = bisect_left(ctx.sat_masks, vertex_set_mask(c))
     return (
         G.is_hereditary(c)
         and G.is_saturated(c)
         and h <= c
         and G.saturated_closure(c) == c
-        and not any(h <= s < c for s in ctx.her_sat)
+        and not any(h <= s < c for s in ctx.her_sat[lo:hi])
     )
 
 
-# -- laws of another shape ------------------------------------------------------
+def _vertex_map_monotone(ctx, i1, i2):
+    if not i2.subspace.contains_subspace(i1.subspace):
+        return None
+    return i1.hereditary_vertices <= i2.hereditary_vertices
 
 
-def _p_vertex_map_monotone(ctx, res):
-    for i1, i2 in ctx.ideal_pairs():
-        if not i2.subspace.contains_subspace(i1.subspace):
-            if i1.subspace.contains_subspace(i2.subspace):
-                i1, i2 = i2, i1
-            else:
-                res.skip()
-                continue
-        ok = i1.hereditary_vertices <= i2.hereditary_vertices
-        res._tally(ok, lambda: {"I": _rows(ctx, i1), "J": _rows(ctx, i2)})
-
-
-def _p_adjunction_restricted(ctx, res):
+def _adjunction_non_degenerate(ctx, h, ideal):
     if ctx.A.is_degenerate():
-        res.not_applicable += len(ctx.her_sat) * len(ctx.absorbing)
-        return
-    for h in ctx.her_sat:
-        for ideal in ctx.absorbing:
-            ok = _adjoint(ctx.span(h), h, ideal)
-            res._tally(ok, lambda: {"H": _show_set(ctx, h), "I": _rows(ctx, ideal)})
+        return None
+    return _adjoint(ctx.span(h), h, ideal)
 
 
-def _p_adjunction_full_perfect(ctx, res):
+def _adjunction_perfect(ctx, h, ideal):
     if not ctx.A.is_perfect():
-        res.not_applicable += len(ctx.hered)
-        return
-    for h in ctx.hered:
-        for ideal in ctx.ideals:
-            ok = _adjoint(ctx.span(h), h, ideal)
-            res._tally(ok, lambda: {"H": _show_set(ctx, h), "I": _rows(ctx, ideal)})
+        return None
+    return _adjoint(ctx.span(h), h, ideal)
 
 
-def _p_union_families(ctx, res):
-    if not ctx.her_sat:
-        return
-    for _ in range(8):
-        k = ctx.rng.randint(1, min(3, len(ctx.her_sat)))
-        family = [ctx.rng.choice(ctx.her_sat) for _ in range(k)]
-        if not ctx.G.is_saturated(frozenset().union(*family)):
-            res.skip()
-            continue
-        ok = _union_identity(ctx.span, family)
-        res.record(ok, {"family": [_labels(ctx.A, h) for h in family]})
+def _union_of_saturated(ctx, family):
+    if not ctx.G.is_saturated(frozenset().union(*family)):
+        return None
+    return _union_identity(ctx.span, family)
 
 
-def _p_intersection_families(ctx, res):
-    absorbing = ctx.absorbing
-    if not absorbing:
-        return
-    for _ in range(8):
-        k = ctx.rng.randint(1, min(3, len(absorbing)))
-        family = [ctx.rng.choice(absorbing) for _ in range(k)]
-        ok = check_lattice_identities(ctx.A, ideal_families=[family])
-        res.record(ok, {"family": [_rows(ctx, i) for i in family]})
+def _meet_of_absorbing(ctx, family):
+    return check_lattice_identities(ctx.A, ideal_families=[family])
 
 
-def _p_simplicity(ctx, res):
+def _simple_iff_no_proper_ideal(ctx, ideal):
     if not ctx.A.is_perfect():
-        res.skip()
-        return
-    candidates = chain(ctx.ideals, map(ctx.span, ctx.hered or ctx.maxher))
-    witness = next((i for i in candidates if i.is_proper and not i.is_zero), None)
-    ok = ctx.G.is_simple() == (witness is None)
-    res.record(ok, {"proper_nonzero_ideal": _rows(ctx, witness) if witness else None})
+        return None
+    return ctx.G.is_simple() == (ideal is None)
 
 
-def _p_maximal_agrees_with_enum(ctx, res):
-    hs = ctx.hered
-    if not hs or len(hs) > 512:
-        res.skip()
-        return
-    proper = [h for h in hs if h != ctx.full_set]
-    maxima = [h for h in proper if not any(h < h2 for h2 in proper)]
-    expected = [_labels(ctx.A, h) for h in maxima]
-    res.record(maxima == list(ctx.maxher), {"expected": expected})
+def _maximal_agrees_with_enum(ctx, maxima):
+    return None if maxima is None else maxima == list(ctx.maxher)
 
 
-def _p_simple_iff_trivial_hereditary(ctx, res):
-    hs = ctx.hered
-    if not hs:
-        res.skip()
-        return
-    expected = [frozenset(), ctx.full_set]
-    res.record(ctx.G.is_simple() == (hs == expected), {})
+def _simple_iff_trivial_hereditary(ctx):
+    if not ctx.hered:
+        return None
+    return ctx.G.is_simple() == (ctx.hered == [frozenset(), ctx.full_set])
 
 
 _REGISTRY = [
-    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", _each(_HEREDITARY_PAIRS, _hereditary_lattice)),
-    ("span_of_intersection", "span(H & H') = span(H) & span(H')", _each(_HEREDITARY_PAIRS, _span_of_intersection)),
-    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", _each(_HEREDITARY_PAIRS, _span_of_union)),
-    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", _each(_IDEAL_PAIRS, _vertices_of_ideal_intersection)),
-    ("vertex_map_monotone", "I <= J implies H(I) <= H(J)", _p_vertex_map_monotone),
-    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", _each(_IDEALS, _galois_expansion_of_ideal, _HEREDITARY, _galois_expansion_of_set)),
-    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", _each(_HEREDITARY, _span_full_iff_all_vertices)),
-    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", _each(_IDEALS, _closure_full_iff_squares_inside)),
-    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", _each(_HEREDITARY, _saturation_fixed_point)),
-    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", _each(_IDEALS, _vertex_trace_saturated)),
-    ("vertices_of_vertex_span", "H = span(H) & B", _each(_HEREDITARY, _vertices_of_vertex_span)),
-    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", _each(_HEREDITARY, _absorption_iff_saturated)),
-    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", _each(_IDEALS, _absorption_equivalences)),
-    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", _each(_IDEALS, _perfect_ideal_conclusions)),
-    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", _each(_MAXIMAL_IDEALS, _maximal_absorption)),
-    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", _each(_MAXIMAL_IDEALS, _maximal_cover_check)),
-    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", _each(_HEREDITARY_PAIRS, _vertex_span_strictly_monotone)),
-    ("adjunction_restricted", "saturated H, absorbing I: span(H) <= I iff H <= H(I)", _p_adjunction_restricted),
-    ("adjunction_full_perfect", "perfect: span(H) <= I iff H <= H(I), unrestricted", _p_adjunction_full_perfect),
-    ("union_family_identity", "span(union H_i) = sum span(H_i)", _p_union_families),
-    ("intersection_family_identity", "H(meet I_i) = meet H(I_i)", _p_intersection_families),
-    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", _each(_HEREDITARY_PAIRS, _quotient_preserves_hereditary)),
-    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", _each(_HEREDITARY, _maximal_iff_quotient_simple)),
-    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", _each(_HEREDITARY, _quotient_algebra_graph)),
-    ("simplicity_equivalence", "perfect: graph simple iff no proper nonzero ideal", _p_simplicity),
-    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", _each(_RANDOM_SUBSETS, _tree_closure_of_set, _HEREDITARY, _tree_fixes_hereditary)),
-    ("maximal_agrees_with_enumeration", "maximal sets = maxima of the enumerated family", _p_maximal_agrees_with_enum),
-    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", _each(_HEREDITARY, _saturated_closure_minimal)),
-    ("simple_iff_trivial_hereditary", "graph simple iff hereditary family is {empty, all}", _p_simple_iff_trivial_hereditary),
+    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", [(_HEREDITARY_PAIRS, _hereditary_lattice)]),
+    ("span_of_intersection", "span(H & H') = span(H) & span(H')", [(_HEREDITARY_PAIRS, _span_of_intersection)]),
+    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", [(_HEREDITARY_PAIRS, _span_of_union)]),
+    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", [(_IDEAL_PAIRS, _vertices_of_ideal_intersection)]),
+    ("vertex_map_monotone", "I <= J implies H(I) <= H(J)", [(_IDEAL_PAIRS_BY_DIM, _vertex_map_monotone)]),
+    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", [(_IDEALS, _galois_expansion_of_ideal), (_HEREDITARY, _galois_expansion_of_set)]),
+    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", [(_HEREDITARY, _span_full_iff_all_vertices)]),
+    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", [(_IDEALS, _closure_full_iff_squares_inside)]),
+    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", [(_HEREDITARY, _saturation_fixed_point)]),
+    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", [(_IDEALS, _vertex_trace_saturated)]),
+    ("vertices_of_vertex_span", "H = span(H) & B", [(_HEREDITARY, _vertices_of_vertex_span)]),
+    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", [(_HEREDITARY, _absorption_iff_saturated)]),
+    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", [(_IDEALS, _absorption_equivalences)]),
+    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", [(_IDEALS, _perfect_ideal_conclusions)]),
+    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", [(_MAXIMAL_IDEALS, _maximal_absorption)]),
+    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", [(_MAXIMAL_IDEALS, _maximal_cover_check)]),
+    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", [(_HEREDITARY_PAIRS, _vertex_span_strictly_monotone)]),
+    ("adjunction_restricted", "saturated H, absorbing I: span(H) <= I iff H <= H(I)", [(_SATURATED_BY_ABSORBING, _adjunction_non_degenerate)]),
+    ("adjunction_full_perfect", "perfect: span(H) <= I iff H <= H(I), unrestricted", [(_HEREDITARY_BY_IDEALS, _adjunction_perfect)]),
+    ("union_family_identity", "span(union H_i) = sum span(H_i)", [(_SATURATED_DRAWS, _union_of_saturated)]),
+    ("intersection_family_identity", "H(meet I_i) = meet H(I_i)", [(_ABSORBING_DRAWS, _meet_of_absorbing)]),
+    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", [(_HEREDITARY_PAIRS, _quotient_preserves_hereditary)]),
+    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", [(_HEREDITARY, _maximal_iff_quotient_simple)]),
+    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", [(_HEREDITARY, _quotient_algebra_graph)]),
+    ("simplicity_equivalence", "perfect: graph simple iff no proper nonzero ideal", [(_PROPER_NONZERO_IDEAL, _simple_iff_no_proper_ideal)]),
+    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", [(_RANDOM_SUBSETS, _tree_closure_of_set), (_HEREDITARY, _tree_fixes_hereditary)]),
+    ("maximal_agrees_with_enumeration", "maximal sets = maxima of the enumerated family", [(_ENUMERATED_MAXIMA, _maximal_agrees_with_enum)]),
+    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", [(_HEREDITARY, _saturated_closure_minimal)]),
+    ("simple_iff_trivial_hereditary", "graph simple iff hereditary family is {empty, all}", [(_ONCE, _simple_iff_trivial_hereditary)]),
 ]
 
 
@@ -657,9 +641,14 @@ def run_theorem_suite(
         trials=trials,
         notices=list(ctx.notices),
     )
-    for name, law, fn in _REGISTRY:
+    for name, law, parts in _REGISTRY:
         res = PropertyResult(name=name, law=law)
-        fn(ctx, res)
+        for (instances, shown), predicate in parts:
+            for args in instances(ctx):
+                res._tally(
+                    predicate(ctx, *args),
+                    lambda: {key: show(ctx, x) for (key, show), x in zip(shown, args)},
+                )
         report.properties.append(res)
     return report
 

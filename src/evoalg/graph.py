@@ -322,8 +322,10 @@ class Digraph:
         return Digraph(len(keep), out, tuple(self.labels[v] for v in keep))
 
     def min_generating_vertex_set(self):
-        """Smallest set whose tree is everything: one vertex per source
-        component (the lowest-numbered one), with its size."""
+        """The least vertex set whose tree is every vertex, one vertex per
+        source component (the lowest-numbered), with its size.  It need not
+        generate the algebra: e1^2 = -e2+e3, e2^2 = -e1-e3, e3^2 = e3 over Q
+        gives {e1}, and e1 generates only span{e1, e3-e2}."""
         witness = frozenset(min(c) for c in self.source_components())
         return len(witness), witness
 

@@ -20,7 +20,10 @@ unparseable generators; ``maximal_ideals_report``; intersections of random
 subspace pairs) of seeded random algebras over Q, F2, F3, F5 and F7, a third
 of them with forced sinks, plus ``run_theorem_suite`` reports at
 ``enum_limit`` 20 and 100 on ``disjoint_pairs(4..6)`` and
-``zero_algebra(8..12)``, whose hereditary families pass those limits.  The
+``zero_algebra(8..12)``, whose hereditary families pass those limits, plus
+``run_theorem_suite`` reports at the default limit on the example algebras,
+on seeded random algebras over Q, F2, F3 and F5 with n 2 to 8, and on
+``zero_algebra(9..12)``, whose hereditary pairs pass the sampling cap.  The
 script imports the ``src`` tree next to it, so each checkout measures its own
 code.  Pytest does not collect it.
 """
@@ -214,6 +217,18 @@ def suite_digests():
         for limit in (20, 100):
             report = run_theorem_suite(algebra, enum_limit=limit).to_json()
             print("suite", name, f"enum_limit={limit}", digest(json.dumps(report, sort_keys=True)))
+    algebras = [(name, getattr(helpers, name)()) for name in EXAMPLES]
+    algebras += [(f"disjoint_pairs({k})", helpers.disjoint_pairs(k)) for k in (1, 2, 3, 4)]
+    rng = random.Random(17)
+    for k in range(120):
+        token, field = FIELDS[k % len(FIELDS)]
+        n = rng.randint(2, 8)
+        spec = RandomSpec(field=field, min_dim=n, max_dim=n, density=rng.choice([0.2, 0.4, 0.6, 0.9]), seed=k)
+        algebras.append((f"random-{token}-{k}", random_algebra(spec)))
+    algebras += [(f"zero_algebra({n})", helpers.zero_algebra(n)) for n in range(9, 13)]
+    for k, (name, algebra) in enumerate(algebras):
+        report = run_theorem_suite(algebra, trials=3, seed=k).to_json()
+        print("suite", name, "default limit", digest(json.dumps(report, sort_keys=True)))
 
 
 def main_digests():

@@ -494,6 +494,13 @@ def test_outputs_are_byte_identical_across_runs(six_file, capsys):
         assert out1 == out2
 
 
+_DEEP_DOCUMENTS = {
+    "deep_list.json": "[" * 100_000 + "]" * 100_000,
+    "deep_squares.json": '{"field": "Q", "dim": 1, "squares": '
+    + '{"e1": ' * 50_000 + "{}" + "}" * 50_000 + "}",
+}
+
+
 def test_parse_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -532,6 +539,11 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "analyze", str(long_number))
     assert code == 2 and "not valid JSON" in err
+    for name, text in _DEEP_DOCUMENTS.items():
+        deep = tmp_path / name
+        deep.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(deep))
+        assert code == 2 and "nested too deeply" in err and out == "", name
     two = tmp_path / "two.json"
     two.write_text(json.dumps(algebra_to_document(two_cycle())))
     code, _, err = run_cli(capsys, "ideal", str(two), f"--generators=1,{digits}")
@@ -576,6 +588,22 @@ def test_parse_errors_exit_two(tmp_path, capsys):
         assert code == 2 and f"cannot write {path}" in err and out == "", argv
 
 
+def test_label_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # A lone surrogate is valid JSON but cannot be written as UTF-8 text.
+    doc = tmp_path / "surrogate.json"
+    doc.write_text(json.dumps({"field": "Q", "dim": 2, "basis": ["\ud800", "b"], "squares": {}}))
+    dot = str(tmp_path / "g.dot")
+    code, out, err = run_cli(capsys, "graph", str(doc), "--dot", dot)
+    assert code == 2 and "UTF-8" in err and out == "" and not os.path.exists(dot)
+    # Text output reaches a real stream only in a child process.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoalg", "analyze", str(doc)], capture_output=True, env=env
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"Traceback" not in proc.stderr and b"UTF-8" in proc.stderr
+
+
 def test_closed_stdout_pipe_leaves_no_traceback():
     # The reader closes the pipe before the command writes, as `| head` does
     # when it has read enough.
@@ -594,7 +622,7 @@ def test_closed_stdout_pipe_leaves_no_traceback():
 
 # -- exit contract ---------------------------------------------------------------
 
-_LABEL = st.sampled_from(["e1", "e2", "e1", "e2", "e3", "x", "", "-a", "-e1"])
+_LABEL = st.sampled_from(["e1", "e2", "e1", "e2", "e3", "x", "", "-a", "-e1", "\ud800"])
 _SCALAR = st.one_of(
     st.sampled_from(["1", "-2", "1/2", "0", "3", "3/0", "abc", "", "7" * 5000]),
     st.integers(-5, 5),
@@ -621,9 +649,11 @@ _DOCUMENT = st.fixed_dictionaries(
     },
     optional={"basis": st.one_of(st.lists(_LABEL, max_size=3), _JSON)},
 )
-_FILE_BYTES = st.one_of(_DOCUMENT, _DOCUMENT, _JSON).map(
-    lambda d: json.dumps(d).encode()
-) | st.binary(max_size=12)
+_FILE_BYTES = (
+    st.one_of(_DOCUMENT, _DOCUMENT, _JSON).map(lambda d: json.dumps(d).encode())
+    | st.binary(max_size=12)
+    | st.sampled_from(list(_DEEP_DOCUMENTS.values())).map(str.encode)
+)
 # One well-formed command line per command, then stray tokens; numbers stay
 # small so that every command that runs finishes quickly.
 _COMMAND = st.sampled_from(

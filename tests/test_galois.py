@@ -1,12 +1,18 @@
 import hashlib
 import json
+import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from evoalg import GF2, QQ, EvolutionAlgebra
-from evoalg.graph import Digraph
+from evoalg import galois
+from evoalg.graph import Digraph, vertex_set_mask
+from evoalg.ideals import Ideal
 from evoalg.linalg import Subspace
 from evoalg.galois import (
+    MAX_PAIRS,
     check_adjunction,
     check_lattice_identities,
     run_fuzz,
@@ -283,3 +289,106 @@ def test_fuzz_failures_are_pinned(lying_predicates):
         {"algebra_index": k, "property": name, "witness": witness}
         for k, name, witness in expected
     ]
+
+
+def _outside_vertices(ideal):
+    n = ideal.algebra.n
+    return frozenset(i for i in range(n) if not ideal.subspace.contains(ideal.algebra.squares[i]))
+
+
+_MUTANTS = {
+    "negated_is_simple": (Digraph, "is_simple", lambda f: lambda self: not f(self)),
+    "maximal_sets_without_last": (
+        Digraph, "maximal_hereditary_sets", lambda f: lambda self: f(self)[:-1]
+    ),
+    "sum_returns_self": (Subspace, "sum", lambda f: lambda self, other: self),
+    "intersect_returns_self": (Subspace, "intersect", lambda f: lambda self, other: self),
+    "vertices_outside_the_ideal": (Ideal, "hereditary_vertices", lambda f: property(_outside_vertices)),
+}
+_PASS = {
+    "vertex_map_monotone": (3, 0, 0, None),
+    "adjunction_restricted": (4, 0, 0, None),
+    "adjunction_full_perfect": (4, 0, 0, None),
+    "union_family_identity": (8, 0, 0, None),
+    "intersection_family_identity": (8, 0, 0, None),
+    "simplicity_equivalence": (1, 0, 0, None),
+    "maximal_agrees_with_enumeration": (1, 0, 0, None),
+    "simple_iff_trivial_hereditary": (1, 0, 0, None),
+}
+_FULL2 = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [
+        ("negated_is_simple", {
+            "simplicity_equivalence": (1, 1, 0, {"proper_nonzero_ideal": None}),
+            "simple_iff_trivial_hereditary": (1, 1, 0, {}),
+        }),
+        ("maximal_sets_without_last", {
+            "maximal_agrees_with_enumeration": (1, 1, 0, {"expected": [[]]}),
+        }),
+        ("sum_returns_self", {
+            "union_family_identity": (8, 5, 0, {"family": [[], ["e1", "e2"]]}),
+        }),
+        ("intersect_returns_self", {
+            "intersection_family_identity": (8, 1, 0, {"family": [_FULL2, []]}),
+        }),
+        ("vertices_outside_the_ideal", {
+            "vertex_map_monotone": (3, 1, 0, {"I": [], "J": _FULL2}),
+            "adjunction_restricted": (4, 2, 0, {"H": ["e1", "e2"], "I": []}),
+            "adjunction_full_perfect": (4, 2, 0, {"H": ["e1", "e2"], "I": []}),
+            "intersection_family_identity": (8, 3, 0, {"family": [[], _FULL2]}),
+        }),
+    ],
+)
+def test_cross_and_verdict_laws_catch_mutants(monkeypatch, mutant, failing):
+    # The laws over cross products, drawn families and per-algebra verdicts
+    # each fail under at least one of these broken building blocks; counts
+    # and first witnesses are pinned.
+    cls, name, broken = _MUTANTS[mutant]
+    monkeypatch.setattr(cls, name, broken(getattr(cls, name)))
+    report = run_theorem_suite(two_cycle(), trials=2, seed=0)
+    got = {
+        p.name: (p.checked, p.failed, p.not_applicable, p.witness)
+        for p in report.properties
+        if p.name in _PASS
+    }
+    assert got == {**_PASS, **failing}
+
+
+def _reference_hereditary_pairs(hs, rng):
+    """Every pair (hs[i], hs[j]) with i <= j; past MAX_PAIRS a sample of the
+    list, sorted by the masks of the pair."""
+    pairs = [(h1, h2) for i, h1 in enumerate(hs) for h2 in hs[i:]]
+    if len(pairs) > MAX_PAIRS:
+        pairs = rng.sample(pairs, MAX_PAIRS)
+        pairs.sort(key=lambda p: (vertex_set_mask(p[0]), vertex_set_mask(p[1])))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_hereditary_pairs_match_the_sampled_pair_list(seed):
+    instances = galois._HEREDITARY_PAIRS[0]
+    masks = random.Random(seed)
+    for size in range(41):
+        hs = [
+            frozenset(v for v in range(8) if m >> v & 1)
+            for m in sorted(masks.sample(range(256), size))
+        ]
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        expected = _reference_hereditary_pairs(hs, expected_rng)
+        assert list(instances(SimpleNamespace(hered=hs, rng=rng))) == expected, size
+        assert rng.getstate() == expected_rng.getstate(), size
+
+
+def test_suite_memory_does_not_follow_the_pair_count():
+    # 1,024 hereditary sets make 524,800 pairs, of which each pair law
+    # checks 400.
+    tracemalloc.start()
+    try:
+        run_theorem_suite(zero_algebra(10), trials=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
