@@ -45,9 +45,13 @@ def _set_str(labels):
 def _parse_field_token(token):
     if token == "Q":
         return QQ
-    if token.isdigit():
-        return PrimeField(int(token))
-    raise InputError(f"field must be Q or a prime, got {token!r}")
+    try:
+        p = int(token) if token.isdigit() else None
+    except ValueError:  # int() rejects some digits, such as "²", and over 4300 of them
+        p = None
+    if p is None:
+        raise InputError(f"field must be Q or a prime, got {token!r}")
+    return PrimeField(p)
 
 
 def _parse_dims(token):

@@ -227,10 +227,14 @@ class _Ctx:
         self.ideals = self._sample_ideals(trials)
 
     def span(self, hereditary):
-        """The vertex span of a hereditary frozenset, as an ideal."""
+        """The vertex span of a hereditary frozenset, as an ideal; None when
+        the set is not hereditary, which only a faulty trace H(I) gives."""
         ideal = self._spans.get(hereditary)
         if ideal is None:
-            ideal = self._spans[hereditary] = ideal_from_hereditary(self.A, hereditary)
+            try:
+                ideal = self._spans[hereditary] = ideal_from_hereditary(self.A, hereditary)
+            except ValueError:
+                return None
         return ideal
 
     def _sample_ideals(self, trials):
@@ -413,7 +417,7 @@ def _vertices_of_ideal_intersection(ctx, i1, i2):
 
 def _galois_expansion_of_ideal(ctx, ideal):
     closure = ctx.span(ideal.hereditary_vertices)
-    return closure.subspace.contains_subspace(ideal.subspace)
+    return closure is not None and closure.subspace.contains_subspace(ideal.subspace)
 
 
 def _galois_expansion_of_set(ctx, h):
@@ -426,6 +430,8 @@ def _span_full_iff_all_vertices(ctx, h):
 
 def _closure_full_iff_squares_inside(ctx, ideal):
     closure = ctx.span(ideal.hereditary_vertices)
+    if closure is None:
+        return False
     return closure.subspace.is_full == ideal.subspace.contains_subspace(ctx.A.square_span)
 
 
@@ -455,17 +461,22 @@ def _absorption_iff_saturated(ctx, h):
 
 def _absorption_equivalences(ctx, ideal):
     h = ideal.hereditary_vertices
+    closure = ctx.span(h)
+    if closure is None:
+        return False
     a = ideal.has_absorption()
     b = h == ideal.basis_vertices()
-    c = ideal.subspace == ctx.span(h).subspace
+    c = ideal.subspace == closure.subspace
     return a == b == c
 
 
 def _perfect_ideal_conclusions(ctx, ideal):
     if not ctx.A.is_perfect():
         return None
+    closure = ctx.span(ideal.hereditary_vertices)
     return (
-        ideal.subspace == ctx.span(ideal.hereditary_vertices).subspace
+        closure is not None
+        and ideal.subspace == closure.subspace
         and ideal.has_absorption()
         and ideal.is_spanned_by_basis_vertices()
     )

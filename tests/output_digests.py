@@ -23,9 +23,10 @@ of them with forced sinks, plus ``run_theorem_suite`` reports at
 ``zero_algebra(8..12)``, whose hereditary families pass those limits, plus
 ``run_theorem_suite`` reports at the default limit on the example algebras,
 on seeded random algebras over Q, F2, F3 and F5 with n 2 to 8, and on
-``zero_algebra(9..12)``, whose hereditary pairs pass the sampling cap.  The
-script imports the ``src`` tree next to it, so each checkout measures its own
-code.  Pytest does not collect it.
+``zero_algebra(9..12)``, whose hereditary pairs pass the sampling cap, plus
+the published ``SCHEMAS`` under ``json.dumps``.  The script imports the
+``src`` tree next to it, so each checkout measures its own code.  Pytest does
+not collect it.
 """
 
 import contextlib
@@ -47,6 +48,7 @@ from evoalg.galois import run_fuzz, run_theorem_suite  # noqa: E402
 from evoalg.ideals import ideal_closure, maximal_ideals_report  # noqa: E402
 from evoalg.linalg import rref  # noqa: E402
 from evoalg.oracle import RandomSpec, random_algebra, random_with_sinks  # noqa: E402
+from evoalg.schemas import SCHEMAS  # noqa: E402
 
 EXAMPLES = (
     "six_dim_branching",
@@ -255,6 +257,7 @@ def main_digests():
         finally:
             os.chdir(cwd)
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
+    print("schemas", hashlib.sha256(json.dumps(SCHEMAS).encode()).hexdigest())
     graph_digests()
     linalg_digests()
     suite_digests()

@@ -22,7 +22,7 @@ from evoalg import (
     algebra_to_document,
 )
 from evoalg.cli import main
-from evoalg.schemas import SCHEMAS
+from evoalg.schemas import DOCUMENT, SCHEMAS
 
 from helpers import disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle
 
@@ -127,6 +127,32 @@ def test_document_rejects_integer_scalars(tmp_path, capsys):
     assert err == "error: scalar for 'e1' -> 'e1' must be a string, got 5\n"
 
 # -- commands --------------------------------------------------------------------
+
+
+def _object_nodes(schema):
+    """Every object schema with ``properties`` inside ``schema``, itself first."""
+    if isinstance(schema, list):
+        for item in schema:
+            yield from _object_nodes(item)
+    elif isinstance(schema, dict):
+        if "properties" in schema:
+            yield schema
+        for key, value in schema.items():
+            # The values of "properties" are schemas; the mapping is not one.
+            for child in value.values() if key == "properties" else [value]:
+                yield from _object_nodes(child)
+
+
+def test_every_schema_object_is_closed():
+    # Every key of an output object is required and no other key is allowed;
+    # the input document alone has an optional key, "basis".
+    for name, schema in SCHEMAS.items():
+        nodes = list(_object_nodes(schema))
+        assert nodes[0] is schema, name
+        for node in nodes:
+            required = ["field", "dim", "squares"] if node is DOCUMENT else list(node["properties"])
+            assert node["required"] == required, name
+            assert node["additionalProperties"] is False, name
 
 
 def test_analyze_text_and_json(six_file, capsys):
@@ -513,6 +539,14 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "fuzz", "--count", "1", "--field", "abc")
     assert code == 2 and "error:" in err
+    # str.isdigit() holds for these, but int() reads none of them.
+    for argv in (
+        ["verify", "--random", "--field", "²"],
+        ["fuzz", "--count", "1", "--field", "³"],
+        ["verify", "--random", "--field", "9" * 5000],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "field must be Q or a prime" in err, argv[:4]
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"field": "Q", "dim": 65, "squares": {}}))
     code, _, err = run_cli(capsys, "analyze", str(huge))
@@ -678,7 +712,7 @@ _TOKEN = st.sampled_from(
      "--limit", "--seed", "--set", "--generators", "--field", "--dim",
      "--density", "--trials", "-h", "0", "-1", "abc", "nan", "2:1", "65",
      "Q", "4", "e1,e2", "", "1,0;0,1", "1,x", "-a", "-e1,e2", "--set=-a",
-     "--out", "--dot"]
+     "--out", "--dot", "²", "7" * 5000]
 )
 # EVOALG_MAX_ENUM: unset, not an integer, not positive, small, too long.
 _ENUM_LIMIT = st.sampled_from([None, "abc", "0", "-3", "5", "7" * 5000])

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra
+from evoalg import GF2, QQ, EvolutionAlgebra, algebra_to_document
 from evoalg import galois
+from evoalg.cli import main
 from evoalg.graph import Digraph, vertex_set_mask
 from evoalg.ideals import Ideal
 from evoalg.linalg import Subspace
@@ -355,6 +356,25 @@ def test_cross_and_verdict_laws_catch_mutants(monkeypatch, mutant, failing):
         if p.name in _PASS
     }
     assert got == {**_PASS, **failing}
+
+
+def test_trace_that_is_not_hereditary_fails_its_law(monkeypatch, tmp_path, capsys):
+    # Under this mutant H(I) need not be hereditary, so it has no vertex
+    # span: the laws built on span(H(I)) fail with I as the witness, and the
+    # suite and ``evoalg verify`` report that instead of aborting.
+    cls, name, broken = _MUTANTS["vertices_outside_the_ideal"]
+    monkeypatch.setattr(cls, name, broken(getattr(cls, name)))
+    A = three_dim_perfect()
+    report = run_theorem_suite(A, trials=2, seed=0)
+    failed = {p.name: (p.checked, p.failed, p.witness) for p in report.failed_properties()}
+    for law in ("closure_full_iff_squares_inside", "absorption_equivalences", "perfect_ideal_conclusions"):
+        assert failed[law] == (4, 4, {"I": []}), law
+    assert failed["galois_expansions"] == (8, 6, {"I": [["0", "1", "0"]]})
+    path = tmp_path / "perfect.json"
+    path.write_text(json.dumps(algebra_to_document(A)))
+    code = main(["verify", str(path), "--trials", "2", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and "result: FAILED" in out and err == ""
 
 
 def _reference_hereditary_pairs(hs, rng):
