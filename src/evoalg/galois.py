@@ -11,13 +11,17 @@ the enumerated hereditary sets, a seeded sample of generated ideals, the
 maximal ideals found among them, pairs of hereditary sets or of sampled
 ideals, saturated sets by absorbing ideals, seeded draws of a few saturated
 sets or absorbing ideals, or the one instance of a verdict on the whole
-algebra.  A predicate returns True or False for an instance it checks, or None
-when the instance fails the law's hypotheses; None is tallied as
-not-applicable, not as a pass.  Each family lists its instances in a fixed
-deterministic order, names the witness key of each argument and how it is
-shown, and the first counterexample is kept as the witness, built only when a
-check fails.  Past MAX_PAIRS hereditary pairs, the pairs are drawn by position
-and decoded, so no list of all pairs is built.  One run builds each derived
+algebra.  A law may name one hypothesis on the algebra, non-degenerate or
+perfect, in its registry row; it is tested once per law, and where it fails
+every instance is tallied not-applicable and no predicate runs.  A predicate
+returns True or False for an instance it checks, or None when the instance
+fails the law's own hypotheses; None is tallied as not-applicable, not as a
+pass.  Each family lists its instances in a fixed deterministic order, names
+the witness key of each argument and how it is shown, and the first
+counterexample is kept as the witness, built only when a check fails.  Past
+MAX_PAIRS hereditary pairs, the pairs are drawn by position and decoded, so no
+list of all pairs is built.  One run walks the hereditary family once and
+reads the saturated sets off it, sharing the sets, and builds each derived
 value once: the vertex span of a hereditary set, the absorbing ideals and the
 maximal ideals.
 """
@@ -205,26 +209,31 @@ class _Ctx:
         self.full_set = frozenset(range(algebra.n))
         self.notices = []
         self._spans = {}
-        # Every enumeration holds the empty set, so [] marks an overflow.
-        try:
-            self.hered = self.G.hereditary_sets(enum_limit)
-        except EnumerationLimitError:
-            self.hered = []
-            self.notices.append(
-                "hereditary enumeration exceeded the limit; "
-                "enumeration-backed laws were skipped"
-            )
-        try:
-            self.her_sat = self.G.hereditary_saturated_sets(enum_limit)
-        except EnumerationLimitError:
-            self.her_sat = []
-            self.notices.append(
+        self.hered = self._enumerate(
+            self.G.hereditary_sets, enum_limit,
+            "hereditary enumeration exceeded the limit; "
+            "enumeration-backed laws were skipped",
+        )
+        # Read off the one walk; past its limit the cut walk lists them alone.
+        if self.hered:
+            self.her_sat = list(filter(self.G.is_saturated, self.hered))
+        else:
+            self.her_sat = self._enumerate(
+                self.G.hereditary_saturated_sets, enum_limit,
                 "hereditary saturated enumeration exceeded the limit; "
-                "laws over saturated sets were skipped"
+                "laws over saturated sets were skipped",
             )
-        self.sat_masks = [vertex_set_mask(s) for s in self.her_sat]
         self.maxher = self.G.maximal_hereditary_sets()
         self.ideals = self._sample_ideals(trials)
+
+    def _enumerate(self, sets, limit, notice):
+        """``sets(limit)``, or [] with the notice on overflow; every
+        enumeration holds the empty set, so [] marks an overflow."""
+        try:
+            return sets(limit)
+        except EnumerationLimitError:
+            self.notices.append(notice)
+            return []
 
     def span(self, hereditary):
         """The vertex span of a hereditary frozenset, as an ideal; None when
@@ -411,8 +420,7 @@ def _span_of_union(ctx, h1, h2):
 
 
 def _vertices_of_ideal_intersection(ctx, i1, i2):
-    meet = Ideal(ctx.A, i1.subspace.intersect(i2.subspace), _validated=True)
-    return meet.hereditary_vertices == i1.hereditary_vertices & i2.hereditary_vertices
+    return check_lattice_identities(ctx.A, ideal_families=[(i1, i2)])
 
 
 def _galois_expansion_of_ideal(ctx, ideal):
@@ -454,8 +462,6 @@ def _vertices_of_vertex_span(ctx, h):
 
 
 def _absorption_iff_saturated(ctx, h):
-    if ctx.A.is_degenerate():
-        return None
     return ctx.span(h).has_absorption() == ctx.G.is_saturated(h)
 
 
@@ -471,8 +477,6 @@ def _absorption_equivalences(ctx, ideal):
 
 
 def _perfect_ideal_conclusions(ctx, ideal):
-    if not ctx.A.is_perfect():
-        return None
     closure = ctx.span(ideal.hereditary_vertices)
     return (
         closure is not None
@@ -536,8 +540,8 @@ def _saturated_closure_minimal(ctx, h):
     G = ctx.G
     c = G.saturated_closure(h)
     # A set s with h <= s < c has a mask in [mask(h), mask(c)).
-    lo = bisect_left(ctx.sat_masks, vertex_set_mask(h))
-    hi = bisect_left(ctx.sat_masks, vertex_set_mask(c))
+    lo = bisect_left(ctx.her_sat, vertex_set_mask(h), key=vertex_set_mask)
+    hi = bisect_left(ctx.her_sat, vertex_set_mask(c), key=vertex_set_mask)
     return (
         G.is_hereditary(c)
         and G.is_saturated(c)
@@ -553,15 +557,7 @@ def _vertex_map_monotone(ctx, i1, i2):
     return i1.hereditary_vertices <= i2.hereditary_vertices
 
 
-def _adjunction_non_degenerate(ctx, h, ideal):
-    if ctx.A.is_degenerate():
-        return None
-    return _adjoint(ctx.span(h), h, ideal)
-
-
-def _adjunction_perfect(ctx, h, ideal):
-    if not ctx.A.is_perfect():
-        return None
+def _adjunction(ctx, h, ideal):
     return _adjoint(ctx.span(h), h, ideal)
 
 
@@ -576,8 +572,6 @@ def _meet_of_absorbing(ctx, family):
 
 
 def _simple_iff_no_proper_ideal(ctx, ideal):
-    if not ctx.A.is_perfect():
-        return None
     return ctx.G.is_simple() == (ideal is None)
 
 
@@ -591,36 +585,37 @@ def _simple_iff_trivial_hereditary(ctx):
     return ctx.G.is_simple() == (ctx.hered == [frozenset(), ctx.full_set])
 
 
+# Each row: name, law, (family, predicate) parts, and the algebra hypothesis or None.
 _REGISTRY = [
-    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", [(_HEREDITARY_PAIRS, _hereditary_lattice)]),
-    ("span_of_intersection", "span(H & H') = span(H) & span(H')", [(_HEREDITARY_PAIRS, _span_of_intersection)]),
-    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", [(_HEREDITARY_PAIRS, _span_of_union)]),
-    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", [(_IDEAL_PAIRS, _vertices_of_ideal_intersection)]),
-    ("vertex_map_monotone", "I <= J implies H(I) <= H(J)", [(_IDEAL_PAIRS_BY_DIM, _vertex_map_monotone)]),
-    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", [(_IDEALS, _galois_expansion_of_ideal), (_HEREDITARY, _galois_expansion_of_set)]),
-    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", [(_HEREDITARY, _span_full_iff_all_vertices)]),
-    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", [(_IDEALS, _closure_full_iff_squares_inside)]),
-    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", [(_HEREDITARY, _saturation_fixed_point)]),
-    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", [(_IDEALS, _vertex_trace_saturated)]),
-    ("vertices_of_vertex_span", "H = span(H) & B", [(_HEREDITARY, _vertices_of_vertex_span)]),
-    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", [(_HEREDITARY, _absorption_iff_saturated)]),
-    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", [(_IDEALS, _absorption_equivalences)]),
-    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", [(_IDEALS, _perfect_ideal_conclusions)]),
-    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", [(_MAXIMAL_IDEALS, _maximal_absorption)]),
-    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", [(_MAXIMAL_IDEALS, _maximal_cover_check)]),
-    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", [(_HEREDITARY_PAIRS, _vertex_span_strictly_monotone)]),
-    ("adjunction_restricted", "saturated H, absorbing I: span(H) <= I iff H <= H(I)", [(_SATURATED_BY_ABSORBING, _adjunction_non_degenerate)]),
-    ("adjunction_full_perfect", "perfect: span(H) <= I iff H <= H(I), unrestricted", [(_HEREDITARY_BY_IDEALS, _adjunction_perfect)]),
-    ("union_family_identity", "span(union H_i) = sum span(H_i)", [(_SATURATED_DRAWS, _union_of_saturated)]),
-    ("intersection_family_identity", "H(meet I_i) = meet H(I_i)", [(_ABSORBING_DRAWS, _meet_of_absorbing)]),
-    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", [(_HEREDITARY_PAIRS, _quotient_preserves_hereditary)]),
-    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", [(_HEREDITARY, _maximal_iff_quotient_simple)]),
-    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", [(_HEREDITARY, _quotient_algebra_graph)]),
-    ("simplicity_equivalence", "perfect: graph simple iff no proper nonzero ideal", [(_PROPER_NONZERO_IDEAL, _simple_iff_no_proper_ideal)]),
-    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", [(_RANDOM_SUBSETS, _tree_closure_of_set), (_HEREDITARY, _tree_fixes_hereditary)]),
-    ("maximal_agrees_with_enumeration", "maximal sets = maxima of the enumerated family", [(_ENUMERATED_MAXIMA, _maximal_agrees_with_enum)]),
-    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", [(_HEREDITARY, _saturated_closure_minimal)]),
-    ("simple_iff_trivial_hereditary", "graph simple iff hereditary family is {empty, all}", [(_ONCE, _simple_iff_trivial_hereditary)]),
+    ("hereditary_lattice", "H and H' hereditary => H&H', H|H' hereditary", [(_HEREDITARY_PAIRS, _hereditary_lattice)], None),
+    ("span_of_intersection", "span(H & H') = span(H) & span(H')", [(_HEREDITARY_PAIRS, _span_of_intersection)], None),
+    ("span_of_union", "span(H | H') = span(H) + span(H'), direct when disjoint", [(_HEREDITARY_PAIRS, _span_of_union)], None),
+    ("vertices_of_ideal_intersection", "H(I & J) = H(I) & H(J)", [(_IDEAL_PAIRS, _vertices_of_ideal_intersection)], None),
+    ("vertex_map_monotone", "I <= J implies H(I) <= H(J)", [(_IDEAL_PAIRS_BY_DIM, _vertex_map_monotone)], None),
+    ("galois_expansions", "I <= span(H(I)) and H <= H(span(H))", [(_IDEALS, _galois_expansion_of_ideal), (_HEREDITARY, _galois_expansion_of_set)], None),
+    ("span_full_iff_all_vertices", "span(H) = A iff H = all vertices", [(_HEREDITARY, _span_full_iff_all_vertices)], None),
+    ("closure_full_iff_squares_inside", "span(H(I)) = A iff square span <= I", [(_IDEALS, _closure_full_iff_squares_inside)], None),
+    ("saturation_fixed_point", "H(span(H)) = H iff H saturated and H carries all annihilator vertices", [(_HEREDITARY, _saturation_fixed_point)], None),
+    ("vertex_trace_saturated", "H(I) = I&B implies H(I) saturated", [(_IDEALS, _vertex_trace_saturated)], None),
+    ("vertices_of_vertex_span", "H = span(H) & B", [(_HEREDITARY, _vertices_of_vertex_span)], None),
+    ("absorption_iff_saturated", "non-degenerate: span(H) absorbs iff H saturated", [(_HEREDITARY, _absorption_iff_saturated)], "non-degenerate"),
+    ("absorption_equivalences", "I absorbs iff H(I) = I&B iff I = span(H(I))", [(_IDEALS, _absorption_equivalences)], None),
+    ("perfect_ideal_conclusions", "perfect: I = span(H(I)), absorbs, basis-vertex span", [(_IDEALS, _perfect_ideal_conclusions)], "perfect"),
+    ("maximal_absorption", "maximal I, not a hyperplane over the square span, absorbs", [(_MAXIMAL_IDEALS, _maximal_absorption)], None),
+    ("maximal_cover_check", "maximal I: tree(e) | H(I) covers B for e outside I", [(_MAXIMAL_IDEALS, _maximal_cover_check)], None),
+    ("vertex_span_strictly_monotone", "H < H' implies span(H) < span(H'); distinct H give distinct spans", [(_HEREDITARY_PAIRS, _vertex_span_strictly_monotone)], None),
+    ("adjunction_restricted", "saturated H, absorbing I: span(H) <= I iff H <= H(I)", [(_SATURATED_BY_ABSORBING, _adjunction)], "non-degenerate"),
+    ("adjunction_full_perfect", "perfect: span(H) <= I iff H <= H(I), unrestricted", [(_HEREDITARY_BY_IDEALS, _adjunction)], "perfect"),
+    ("union_family_identity", "span(union H_i) = sum span(H_i)", [(_SATURATED_DRAWS, _union_of_saturated)], None),
+    ("intersection_family_identity", "H(meet I_i) = meet H(I_i)", [(_ABSORBING_DRAWS, _meet_of_absorbing)], None),
+    ("quotient_preserves_hereditary", "H <= H' hereditary: H'-H hereditary in E/H", [(_HEREDITARY_PAIRS, _quotient_preserves_hereditary)], None),
+    ("maximal_iff_quotient_simple", "H maximal iff E/H simple", [(_HEREDITARY, _maximal_iff_quotient_simple)], None),
+    ("quotient_algebra_graph", "graph of A/span(H) equals E/H", [(_HEREDITARY, _quotient_algebra_graph)], None),
+    ("simplicity_equivalence", "perfect: graph simple iff no proper nonzero ideal", [(_PROPER_NONZERO_IDEAL, _simple_iff_no_proper_ideal)], "perfect"),
+    ("tree_closure_operator", "tree is extensive, idempotent, monotone, hereditary-valued", [(_RANDOM_SUBSETS, _tree_closure_of_set), (_HEREDITARY, _tree_fixes_hereditary)], None),
+    ("maximal_agrees_with_enumeration", "maximal sets = maxima of the enumerated family", [(_ENUMERATED_MAXIMA, _maximal_agrees_with_enum)], None),
+    ("saturated_closure_minimal", "saturated closure is the least saturated hereditary superset", [(_HEREDITARY, _saturated_closure_minimal)], None),
+    ("simple_iff_trivial_hereditary", "graph simple iff hereditary family is {empty, all}", [(_ONCE, _simple_iff_trivial_hereditary)], None),
 ]
 
 
@@ -646,18 +641,22 @@ def run_theorem_suite(
     sampled pairs and the witness selection all derive from one seeded stream.
     """
     ctx = _Ctx(algebra, trials, seed, enum_limit)
+    summary = _algebra_summary(algebra)
+    holds = {None: True, "non-degenerate": not summary["degenerate"],
+             "perfect": summary["perfect"]}
     report = PropertyReport(
-        algebra=_algebra_summary(algebra),
+        algebra=summary,
         seed=seed,
         trials=trials,
         notices=list(ctx.notices),
     )
-    for name, law, parts in _REGISTRY:
+    for name, law, parts, hypothesis in _REGISTRY:
         res = PropertyResult(name=name, law=law)
+        # Families are drawn even where the hypothesis fails: one seeded stream.
         for (instances, shown), predicate in parts:
             for args in instances(ctx):
                 res._tally(
-                    predicate(ctx, *args),
+                    predicate(ctx, *args) if holds[hypothesis] else None,
                     lambda: {key: show(ctx, x) for (key, show), x in zip(shown, args)},
                 )
         report.properties.append(res)
@@ -702,7 +701,7 @@ def run_fuzz(
     from .fields import QQ, PrimeField
 
     merged = {
-        name: PropertyResult(name=name, law=law) for name, law, _ in _REGISTRY
+        name: PropertyResult(name=name, law=law) for name, law, _, _ in _REGISTRY
     }
     fuzz = FuzzReport(count=count, seed=seed, trials=trials)
     for k in range(count):
@@ -732,5 +731,5 @@ def run_fuzz(
             )
         for note in report.notices:
             fuzz.notices.append(f"algebra {k}: {note}")
-    fuzz.properties = [merged[name] for name, _, _ in _REGISTRY]
+    fuzz.properties = [merged[name] for name, *_ in _REGISTRY]
     return fuzz

@@ -302,11 +302,10 @@ class Digraph:
     # -- simplicity and quotients -------------------------------------------
 
     def is_simple(self):
-        """True when the only hereditary sets are empty and everything."""
-        if self.n == 0:
-            return False
-        components, _ = self._condensation
-        return len(components) == 1
+        """True when the only hereditary sets are empty and everything: there
+        is a vertex, and every vertex reaches all of them."""
+        full = (1 << self.n) - 1
+        return self.n > 0 and all(r == full for r in self._reach_masks)
 
     def quotient(self, hereditary):
         """Remove a hereditary set; keep edges with both endpoints outside."""

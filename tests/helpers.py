@@ -1,8 +1,12 @@
-"""Shared example algebras, named by their structure."""
+"""Shared example algebras, named by their structure, and broken building
+blocks that the property suite must catch."""
 
 from fractions import Fraction
 
 from evoalg import QQ, EvolutionAlgebra
+from evoalg.graph import Digraph
+from evoalg.ideals import Ideal
+from evoalg.linalg import Subspace
 
 
 def six_dim_branching(field=QQ):
@@ -99,3 +103,32 @@ def disjoint_pairs(k, field=QQ):
 
 def qq(a, b=1):
     return Fraction(a, b)
+
+
+def _outside_vertices(ideal):
+    n = ideal.algebra.n
+    return frozenset(i for i in range(n) if not ideal.subspace.contains(ideal.algebra.squares[i]))
+
+
+# Each entry is (class, attribute, breaker); the breaker maps the attribute
+# to its broken form, for ``setattr(cls, name, breaker(getattr(cls, name)))``.
+MUTANTS = {
+    "negated_is_simple": (Digraph, "is_simple", lambda f: lambda self: not f(self)),
+    "maximal_sets_without_last": (
+        Digraph, "maximal_hereditary_sets", lambda f: lambda self: f(self)[:-1]
+    ),
+    "sum_returns_self": (Subspace, "sum", lambda f: lambda self, other: self),
+    "intersect_returns_self": (Subspace, "intersect", lambda f: lambda self, other: self),
+    "vertices_outside_the_ideal": (Ideal, "hereditary_vertices", lambda f: property(_outside_vertices)),
+}
+# A saturation test that answers the opposite, and a membership test that
+# rejects the zero vector and every vector of the whole space.
+LYING_PREDICATES = {
+    "lying_is_saturated": (
+        Digraph, "is_saturated", lambda f: lambda self, vertices: not f(self, vertices)
+    ),
+    "lying_contains": (
+        Subspace, "contains",
+        lambda f: lambda self, vec: f(self, vec) and any(vec) and not self.is_full,
+    ),
+}

@@ -24,9 +24,12 @@ of them with forced sinks, plus ``run_theorem_suite`` reports at
 ``run_theorem_suite`` reports at the default limit on the example algebras,
 on seeded random algebras over Q, F2, F3 and F5 with n 2 to 8, and on
 ``zero_algebra(9..12)``, whose hereditary pairs pass the sampling cap, plus
-the published ``SCHEMAS`` under ``json.dumps``.  The script imports the
-``src`` tree next to it, so each checkout measures its own code.  Pytest does
-not collect it.
+the suite reports on the example algebras under each broken building block of
+``helpers.MUTANTS`` and ``helpers.LYING_PREDICATES`` (the two lying predicates
+also together), patched in for the run and restored after it, so that failing
+counts and witnesses are compared too, plus the published ``SCHEMAS`` under
+``json.dumps``.  The script imports the ``src`` tree next to it, so each
+checkout measures its own code.  Pytest does not collect it.
 """
 
 import contextlib
@@ -37,6 +40,7 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
@@ -233,6 +237,26 @@ def suite_digests():
         print("suite", name, "default limit", digest(json.dumps(report, sort_keys=True)))
 
 
+def failing_suite_digests():
+    """Suite reports under each broken building block; an exception the
+    run raises is digested in place of its report."""
+    broken_blocks = {**helpers.MUTANTS, **helpers.LYING_PREDICATES}
+    patches = [(name, [entry]) for name, entry in broken_blocks.items()]
+    patches.append(("lying_predicates", list(helpers.LYING_PREDICATES.values())))
+    for label, entries in patches:
+        for name in EXAMPLES:
+            algebra = getattr(helpers, name)()
+            with contextlib.ExitStack() as stack:
+                for cls, attr, broken in entries:
+                    stack.enter_context(mock.patch.object(cls, attr, broken(getattr(cls, attr))))
+                try:
+                    report = run_theorem_suite(algebra, trials=2, seed=0).to_json()
+                    output = json.dumps(report, sort_keys=True)
+                except Exception as exc:  # the type and text are the output
+                    output = (type(exc).__name__, str(exc))
+            print("suite", label, name, digest(output))
+
+
 def main_digests():
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -261,6 +285,7 @@ def main_digests():
     graph_digests()
     linalg_digests()
     suite_digests()
+    failing_suite_digests()
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from evoalg import (
     InputError,
     algebra_from_document,
     algebra_to_document,
+    run_fuzz,
 )
 from evoalg.cli import main
 from evoalg.schemas import DOCUMENT, SCHEMAS
@@ -464,12 +465,23 @@ def test_graph_command_dot_and_json(perfect_file, tmp_path, capsys):
     assert open(dot_path).read() == three_dim_perfect().graph.to_dot()
 
 
-def test_verify_command(six_file, capsys):
+def test_verify_command(six_file, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", six_file, "--json", "--seed", "3")
     assert code == 0
     obj = json.loads(out)
     jsonschema.validate(obj, SCHEMAS["verify"])
     assert obj["ok"] is True
+    # Past the enumeration limit the text report lists both notices.
+    monkeypatch.setenv("EVOALG_MAX_ENUM", "1")
+    code, out, _ = run_cli(capsys, "verify", six_file, "--seed", "3")
+    assert code == 0
+    assert out.endswith(
+        "notice: hereditary enumeration exceeded the limit; "
+        "enumeration-backed laws were skipped\n"
+        "notice: hereditary saturated enumeration exceeded the limit; "
+        "laws over saturated sets were skipped\n"
+        "result: ok\n"
+    )
 
 
 def test_verify_random(capsys):
@@ -505,6 +517,9 @@ def test_fuzz_command(capsys):
     jsonschema.validate(obj, SCHEMAS["fuzz"])
     assert obj["ok"] is True
     assert obj["count"] == 8
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "4", "--field", "2", "--json")
+    assert code == 0
+    assert out == json.dumps(run_fuzz(count=4, fields=(2,)).to_json(), indent=2) + "\n"
 
 
 def test_outputs_are_byte_identical_across_runs(six_file, capsys):

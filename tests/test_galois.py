@@ -9,9 +9,7 @@ import pytest
 from evoalg import GF2, QQ, EvolutionAlgebra, algebra_to_document
 from evoalg import galois
 from evoalg.cli import main
-from evoalg.graph import Digraph, vertex_set_mask
-from evoalg.ideals import Ideal
-from evoalg.linalg import Subspace
+from evoalg.graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from evoalg.galois import (
     MAX_PAIRS,
     check_adjunction,
@@ -22,6 +20,8 @@ from evoalg.galois import (
 from evoalg.ideals import ideal_closure, ideal_from_hereditary
 
 from helpers import (
+    LYING_PREDICATES,
+    MUTANTS,
     disjoint_pairs,
     double_loop_pair,
     four_dim_degenerate_funnel,
@@ -130,6 +130,20 @@ def test_suite_on_branching_example_exercises_degenerate_paths():
     assert by_name["adjunction_restricted"].checked == 0
     assert by_name["perfect_ideal_conclusions"].checked == 0
     assert by_name["absorption_equivalences"].checked > 0
+    # Neither non-degenerate nor perfect: every instance of the five laws
+    # with an algebra hypothesis is not applicable, and none is checked.
+    ctx = galois._Ctx(A, 100, 9, DEFAULT_ENUM_LIMIT)
+    sizes = {
+        "absorption_iff_saturated": len(ctx.hered),
+        "adjunction_restricted": len(ctx.her_sat) * len(ctx.absorbing),
+        "adjunction_full_perfect": len(ctx.hered),
+        "perfect_ideal_conclusions": len(ctx.ideals),
+        "simplicity_equivalence": 1,
+    }
+    assert min(sizes.values()) > 0
+    assert {name: (by_name[name].checked, by_name[name].not_applicable) for name in sizes} == {
+        name: (0, size) for name, size in sizes.items()
+    }
 
 
 def test_suite_is_deterministic():
@@ -218,19 +232,8 @@ def test_fuzz_mixed_fields_cover_degenerate_and_perfect():
 
 @pytest.fixture
 def lying_predicates(monkeypatch):
-    """A saturation test that answers the opposite, and a membership test
-    that rejects the zero vector and every vector of the whole space."""
-    is_saturated = Digraph.is_saturated
-    contains = Subspace.contains
-
-    def lying_is_saturated(self, vertices):
-        return not is_saturated(self, vertices)
-
-    def lying_contains(self, vec):
-        return contains(self, vec) and any(vec) and not self.is_full
-
-    monkeypatch.setattr(Digraph, "is_saturated", lying_is_saturated)
-    monkeypatch.setattr(Subspace, "contains", lying_contains)
+    for cls, name, broken in LYING_PREDICATES.values():
+        monkeypatch.setattr(cls, name, broken(getattr(cls, name)))
 
 
 def test_failure_witnesses_are_pinned(lying_predicates):
@@ -292,20 +295,6 @@ def test_fuzz_failures_are_pinned(lying_predicates):
     ]
 
 
-def _outside_vertices(ideal):
-    n = ideal.algebra.n
-    return frozenset(i for i in range(n) if not ideal.subspace.contains(ideal.algebra.squares[i]))
-
-
-_MUTANTS = {
-    "negated_is_simple": (Digraph, "is_simple", lambda f: lambda self: not f(self)),
-    "maximal_sets_without_last": (
-        Digraph, "maximal_hereditary_sets", lambda f: lambda self: f(self)[:-1]
-    ),
-    "sum_returns_self": (Subspace, "sum", lambda f: lambda self, other: self),
-    "intersect_returns_self": (Subspace, "intersect", lambda f: lambda self, other: self),
-    "vertices_outside_the_ideal": (Ideal, "hereditary_vertices", lambda f: property(_outside_vertices)),
-}
 _PASS = {
     "vertex_map_monotone": (3, 0, 0, None),
     "adjunction_restricted": (4, 0, 0, None),
@@ -347,7 +336,7 @@ def test_cross_and_verdict_laws_catch_mutants(monkeypatch, mutant, failing):
     # The laws over cross products, drawn families and per-algebra verdicts
     # each fail under at least one of these broken building blocks; counts
     # and first witnesses are pinned.
-    cls, name, broken = _MUTANTS[mutant]
+    cls, name, broken = MUTANTS[mutant]
     monkeypatch.setattr(cls, name, broken(getattr(cls, name)))
     report = run_theorem_suite(two_cycle(), trials=2, seed=0)
     got = {
@@ -362,7 +351,7 @@ def test_trace_that_is_not_hereditary_fails_its_law(monkeypatch, tmp_path, capsy
     # Under this mutant H(I) need not be hereditary, so it has no vertex
     # span: the laws built on span(H(I)) fail with I as the witness, and the
     # suite and ``evoalg verify`` report that instead of aborting.
-    cls, name, broken = _MUTANTS["vertices_outside_the_ideal"]
+    cls, name, broken = MUTANTS["vertices_outside_the_ideal"]
     monkeypatch.setattr(cls, name, broken(getattr(cls, name)))
     A = three_dim_perfect()
     report = run_theorem_suite(A, trials=2, seed=0)
@@ -412,3 +401,17 @@ def test_suite_memory_does_not_follow_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_suite_context_walks_the_hereditary_family_once():
+    # All 4,096 hereditary sets of zero_algebra(12) are saturated; the
+    # saturated list shares the enumerated frozensets instead of copies.
+    tracemalloc.start()
+    try:
+        ctx = galois._Ctx(zero_algebra(12), 0, 0, DEFAULT_ENUM_LIMIT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+    assert len(ctx.her_sat) == 4096
+    assert all(s is h for s, h in zip(ctx.her_sat, ctx.hered))
