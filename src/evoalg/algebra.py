@@ -52,7 +52,12 @@ class EvolutionAlgebra:
             raise ValueError(f"unknown basis label {label!r}") from None
 
     def unit(self, i):
-        return linalg.unit_vector(self.field, self.n, i)
+        return self._units[i]
+
+    @cached_property
+    def _units(self):
+        """The unit rows, built once and shared by every caller."""
+        return tuple(linalg.unit_vector(self.field, self.n, i) for i in range(self.n))
 
     def zero_vector(self):
         return tuple(self.field.zero for _ in range(self.n))

@@ -260,7 +260,8 @@ def simplicity_verdicts(algebra):
 
     The search is exhaustive (brute-force oracle) whenever the subspace
     enumeration is small enough, else it follows the graph theorem of
-    ``ideals.find_proper_nonzero_ideal``.
+    ``ideals.find_proper_nonzero_ideal``.  Beside ``graph_simple`` the keys
+    are those of the ``ideal_search`` object that ``simple`` prints.
     """
     graph_simple = algebra.graph.is_simple()
     if _exhaustive_feasible(algebra):
@@ -273,19 +274,17 @@ def simplicity_verdicts(algebra):
         method = "theorem"
         ideal = ideals.find_proper_nonzero_ideal(algebra)
         witness = ideal.subspace if ideal is not None else None
-    found = witness is not None
-    witness_rows = list(witness.basis) if found else None
     return {
         "graph_simple": graph_simple,
         "method": method,
-        "proper_nonzero_ideal_found": found,
-        "witness_rows": witness_rows,
+        "proper_nonzero_ideal_found": witness is not None,
+        "witness": None if witness is None else _row_strings(algebra, witness.basis),
     }
 
 
 def cmd_simple(args):
     A = documents.load_algebra(args.file)
-    verdicts = simplicity_verdicts(A)
+    search = simplicity_verdicts(A)
     perfect = A.is_perfect()
     note = None
     if not perfect:
@@ -296,26 +295,18 @@ def cmd_simple(args):
         )
     obj = {
         "perfect": perfect,
-        "graph_simple": verdicts["graph_simple"],
+        "graph_simple": search.pop("graph_simple"),
         "algebra_simple": (
-            not verdicts["proper_nonzero_ideal_found"] if perfect else None
+            not search["proper_nonzero_ideal_found"] if perfect else None
         ),
-        "ideal_search": {
-            "method": verdicts["method"],
-            "proper_nonzero_ideal_found": verdicts["proper_nonzero_ideal_found"],
-            "witness": (
-                _row_strings(A, verdicts["witness_rows"])
-                if verdicts["witness_rows"]
-                else None
-            ),
-        },
+        "ideal_search": search,
         "note": note,
     }
     lines = [f"graph simple: {'yes' if obj['graph_simple'] else 'no'}"]
     if perfect:
         lines.append(
             f"algebra simple: {'yes' if obj['algebra_simple'] else 'no'} "
-            f"(ideal search: {obj['ideal_search']['method']})"
+            f"(ideal search: {search['method']})"
         )
     else:
         lines.append(f"note: {note}")
@@ -439,6 +430,7 @@ def cmd_fuzz(args):
         trials=args.trials,
         seed=args.seed,
         fields=fields,
+        enum_limit=_enum_limit(),
     )
     obj = report.to_json()
     text = _render_property_report(obj) + f"\nalgebras: {args.count}"

@@ -62,9 +62,9 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
     labels = doc.get("basis", [f"e{i + 1}" for i in range(n)])
     if (
         not isinstance(labels, list)
+        or not all(isinstance(x, str) for x in labels)
         or len(labels) != n
         or len(set(labels)) != n
-        or not all(isinstance(x, str) for x in labels)
     ):
         raise InputError(f"basis must list {n} distinct labels")
     try:

@@ -16,11 +16,15 @@ perfect, in its registry row; it is tested once per law, and where it fails
 every instance is tallied not-applicable and no predicate runs.  A predicate
 returns True or False for an instance it checks, or None when the instance
 fails the law's own hypotheses; None is tallied as not-applicable, not as a
-pass.  Each family lists its instances in a fixed deterministic order, names
-the witness key of each argument and how it is shown, and the first
-counterexample is kept as the witness, built only when a check fails.  Past
-MAX_PAIRS hereditary pairs, the pairs are drawn by position and decoded, so no
-list of all pairs is built.  One run walks the hereditary family once and
+pass.  A ValueError raised inside a predicate, such as the span of a vertex
+set that is not hereditary, which only a faulty trace H(I) gives, counts the
+instance as a counterexample.  Each family lists its instances in a fixed
+deterministic order and names the witness key of each argument, and the first
+counterexample is kept as the witness, built only when a check fails.  The
+runner shows an argument by its type: a vertex set as its labels, an ideal
+as its basis rows, a list item by item, and None as None.  Past MAX_PAIRS
+hereditary pairs, the pairs are drawn by position and decoded, so no list of
+all pairs is built.  One run walks the hereditary family once and
 reads the saturated sets off it, sharing the sets, and builds each derived
 value once: the vertex span of a hereditary set, the absorbing ideals and the
 maximal ideals.
@@ -31,7 +35,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, islice, product
 
 from . import oracle
@@ -208,7 +212,8 @@ class _Ctx:
         self.rng = random.Random(seed)
         self.full_set = frozenset(range(algebra.n))
         self.notices = []
-        self._spans = {}
+        # The vertex span of a hereditary frozenset, as an ideal, built once.
+        self.span = cache(partial(ideal_from_hereditary, algebra))
         self.hered = self._enumerate(
             self.G.hereditary_sets, enum_limit,
             "hereditary enumeration exceeded the limit; "
@@ -234,17 +239,6 @@ class _Ctx:
         except EnumerationLimitError:
             self.notices.append(notice)
             return []
-
-    def span(self, hereditary):
-        """The vertex span of a hereditary frozenset, as an ideal; None when
-        the set is not hereditary, which only a faulty trace H(I) gives."""
-        ideal = self._spans.get(hereditary)
-        if ideal is None:
-            try:
-                ideal = self._spans[hereditary] = ideal_from_hereditary(self.A, hereditary)
-            except ValueError:
-                return None
-        return ideal
 
     def _sample_ideals(self, trials):
         A = self.A
@@ -296,19 +290,7 @@ class _Ctx:
 
 
 # -- families: the instances of a law as argument tuples, then the witness key
-# of each argument with how it is shown ---------------------------------------
-
-
-def _show_set(ctx, h):
-    return _labels(ctx.A, h)
-
-
-def _rows(ctx, ideal):
-    return _row_strings(ctx.A, ideal.subspace.basis)
-
-
-def _listed(show):
-    return lambda ctx, items: [show(ctx, x) for x in items]
+# of each argument -------------------------------------------------------------
 
 
 def _hereditary_pairs(ctx):
@@ -371,32 +353,28 @@ def _random_subsets(ctx):
         yield s, s | frozenset(rng.sample(range(n), rng.randint(0, n)))
 
 
-_H, _I = ("H", _show_set), ("I", _rows)
-_HEREDITARY = (lambda ctx: zip(ctx.hered), (_H,))
-_IDEALS = (lambda ctx: zip(ctx.ideals), (_I,))
-_MAXIMAL_IDEALS = (lambda ctx: zip(ctx.maximal_ideals), (_I,))
-_HEREDITARY_PAIRS = (_hereditary_pairs, (_H, ("H'", _show_set)))
-_IDEAL_PAIRS = (_ideal_pairs, (_I, ("J", _rows)))
+_HEREDITARY = (lambda ctx: zip(ctx.hered), ("H",))
+_IDEALS = (lambda ctx: zip(ctx.ideals), ("I",))
+_MAXIMAL_IDEALS = (lambda ctx: zip(ctx.maximal_ideals), ("I",))
+_HEREDITARY_PAIRS = (_hereditary_pairs, ("H", "H'"))
+_IDEAL_PAIRS = (_ideal_pairs, ("I", "J"))
 # Ideal pairs, lower dimension first: a nested pair shows the smaller ideal as I.
 _IDEAL_PAIRS_BY_DIM = (
     lambda ctx: ((j, i) if i.dim > j.dim else (i, j) for i, j in _ideal_pairs(ctx)),
-    (_I, ("J", _rows)),
+    ("I", "J"),
 )
-_SATURATED_BY_ABSORBING = (lambda ctx: product(ctx.her_sat, ctx.absorbing), (_H, _I))
+_SATURATED_BY_ABSORBING = (lambda ctx: product(ctx.her_sat, ctx.absorbing), ("H", "I"))
 # Perfection fails for all pairs at once, so a non-perfect algebra gives each H once.
 _HEREDITARY_BY_IDEALS = (
     lambda ctx: product(ctx.hered, ctx.ideals if ctx.A.is_perfect() else [None]),
-    (_H, _I),
+    ("H", "I"),
 )
-_SATURATED_DRAWS = (partial(_draws, "her_sat"), (("family", _listed(_show_set)),))
-_ABSORBING_DRAWS = (partial(_draws, "absorbing"), (("family", _listed(_rows)),))
-_PROPER_NONZERO_IDEAL = (
-    _proper_nonzero_ideal,
-    (("proper_nonzero_ideal", lambda ctx, i: None if i is None else _rows(ctx, i)),),
-)
-_ENUMERATED_MAXIMA = (_enumerated_maxima, (("expected", _listed(_show_set)),))
+_SATURATED_DRAWS = (partial(_draws, "her_sat"), ("family",))
+_ABSORBING_DRAWS = (partial(_draws, "absorbing"), ("family",))
+_PROPER_NONZERO_IDEAL = (_proper_nonzero_ideal, ("proper_nonzero_ideal",))
+_ENUMERATED_MAXIMA = (_enumerated_maxima, ("expected",))
 _ONCE = (lambda ctx: [()], ())
-_RANDOM_SUBSETS = (_random_subsets, (("S", _show_set),))  # the superset unshown
+_RANDOM_SUBSETS = (_random_subsets, ("S",))  # the superset unshown
 
 
 # -- predicates, one per law and family -----------------------------------------
@@ -424,8 +402,7 @@ def _vertices_of_ideal_intersection(ctx, i1, i2):
 
 
 def _galois_expansion_of_ideal(ctx, ideal):
-    closure = ctx.span(ideal.hereditary_vertices)
-    return closure is not None and closure.subspace.contains_subspace(ideal.subspace)
+    return ctx.span(ideal.hereditary_vertices).subspace.contains_subspace(ideal.subspace)
 
 
 def _galois_expansion_of_set(ctx, h):
@@ -438,8 +415,6 @@ def _span_full_iff_all_vertices(ctx, h):
 
 def _closure_full_iff_squares_inside(ctx, ideal):
     closure = ctx.span(ideal.hereditary_vertices)
-    if closure is None:
-        return False
     return closure.subspace.is_full == ideal.subspace.contains_subspace(ctx.A.square_span)
 
 
@@ -468,8 +443,6 @@ def _absorption_iff_saturated(ctx, h):
 def _absorption_equivalences(ctx, ideal):
     h = ideal.hereditary_vertices
     closure = ctx.span(h)
-    if closure is None:
-        return False
     a = ideal.has_absorption()
     b = h == ideal.basis_vertices()
     c = ideal.subspace == closure.subspace
@@ -477,10 +450,8 @@ def _absorption_equivalences(ctx, ideal):
 
 
 def _perfect_ideal_conclusions(ctx, ideal):
-    closure = ctx.span(ideal.hereditary_vertices)
     return (
-        closure is not None
-        and ideal.subspace == closure.subspace
+        ideal.subspace == ctx.span(ideal.hereditary_vertices).subspace
         and ideal.has_absorption()
         and ideal.is_spanned_by_basis_vertices()
     )
@@ -653,14 +624,28 @@ def run_theorem_suite(
     for name, law, parts, hypothesis in _REGISTRY:
         res = PropertyResult(name=name, law=law)
         # Families are drawn even where the hypothesis fails: one seeded stream.
-        for (instances, shown), predicate in parts:
+        for (instances, keys), predicate in parts:
             for args in instances(ctx):
+                try:
+                    ok = predicate(ctx, *args) if holds[hypothesis] else None
+                except ValueError:  # a counterexample, such as a non-hereditary H(I)
+                    ok = False
                 res._tally(
-                    predicate(ctx, *args) if holds[hypothesis] else None,
-                    lambda: {key: show(ctx, x) for (key, show), x in zip(shown, args)},
+                    ok, lambda: {key: _shown(algebra, x) for key, x in zip(keys, args)}
                 )
         report.properties.append(res)
     return report
+
+
+def _shown(algebra, x):
+    """A witness argument as the report shows it."""
+    if isinstance(x, frozenset):
+        return _labels(algebra, x)
+    if isinstance(x, Ideal):
+        return _row_strings(algebra, x.subspace.basis)
+    if isinstance(x, list):
+        return [_shown(algebra, item) for item in x]
+    return x
 
 
 @dataclass
@@ -696,8 +681,10 @@ def run_fuzz(
     seed=0,
     fields=("Q", 2, 3, 5),
     densities=(0.35, 0.55, 0.75, 0.95),
+    enum_limit=DEFAULT_ENUM_LIMIT,
 ) -> FuzzReport:
-    """Run the suite over a seeded random corpus and merge the results."""
+    """Run the suite over a seeded random corpus and merge the results;
+    ``enum_limit`` bounds each algebra's hereditary enumeration."""
     from .fields import QQ, PrimeField
 
     merged = {
@@ -716,19 +703,19 @@ def run_fuzz(
         )
         algebra = oracle.random_algebra(spec)
         report = run_theorem_suite(
-            algebra, trials=trials, seed=seed * 7_919 + k
+            algebra, trials=trials, seed=seed * 7_919 + k, enum_limit=enum_limit
         )
         for res in report.properties:
             agg = merged[res.name]
             agg.checked += res.checked
             agg.failed += res.failed
             agg.not_applicable += res.not_applicable
-            if res.witness is not None and agg.witness is None:
-                agg.witness = {"algebra_index": k, **res.witness}
-        for res in report.failed_properties():
-            fuzz.failures.append(
-                {"algebra_index": k, "property": res.name, "witness": res.witness}
-            )
+            if res.failed:
+                fuzz.failures.append(
+                    {"algebra_index": k, "property": res.name, "witness": res.witness}
+                )
+                if agg.witness is None:
+                    agg.witness = {"algebra_index": k, **res.witness}
         for note in report.notices:
             fuzz.notices.append(f"algebra {k}: {note}")
     fuzz.properties = [merged[name] for name, *_ in _REGISTRY]

@@ -23,6 +23,7 @@ that closure, so at most n + 1 sets are tested per saturated set returned.
 from __future__ import annotations
 
 import heapq
+import sys
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 
@@ -54,7 +55,7 @@ def _mask_to_frozenset(mask: int) -> frozenset:
 
 def _take(items, limit):
     """The items as a list; raises once ``limit`` (at least 1) is passed."""
-    cap = max(limit, 1)
+    cap = min(max(limit, 1), sys.maxsize - 1)  # islice takes no stop past maxsize
     out = list(islice(items, cap + 1))
     if len(out) > cap:
         raise EnumerationLimitError(f"more than {limit} hereditary sets")

@@ -27,8 +27,11 @@ on seeded random algebras over Q, F2, F3 and F5 with n 2 to 8, and on
 the suite reports on the example algebras under each broken building block of
 ``helpers.MUTANTS`` and ``helpers.LYING_PREDICATES`` (the two lying predicates
 also together), patched in for the run and restored after it, so that failing
-counts and witnesses are compared too, plus the published ``SCHEMAS`` under
-``json.dumps``.  The script imports the ``src`` tree next to it, so each
+counts and witnesses are compared too, plus ``run_fuzz(count=8)`` reports
+under the same patches, plus the published ``SCHEMAS`` under ``json.dumps``,
+plus ``hereditary`` and ``verify`` at limits at and past ``sys.maxsize``,
+``fuzz`` under ``EVOALG_MAX_ENUM`` and ``analyze`` on basis entries that are
+not strings; an exception that escapes a command is digested as its output.  The script imports the ``src`` tree next to it, so each
 checkout measures its own code.  Pytest does not collect it.
 """
 
@@ -79,11 +82,17 @@ def digest(*parts):
     return h.hexdigest()
 
 
-def run(argv, written=None):
-    """Digest of one ``main`` call; ``written`` names a file it may write."""
+def run(argv, written=None, env=None):
+    """Digest of one ``main`` call under the extra environment ``env``;
+    ``written`` names a file it may write.  An exception that escapes
+    ``main`` is digested in place of the exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, env or {}):
+        try:
+            code = main(argv)
+        except Exception as exc:  # the type and text are the output
+            code = (type(exc).__name__, str(exc))
     parts = [code, stdout.getvalue(), stderr.getvalue()]
     if written is not None and os.path.exists(written):
         with open(written, encoding="utf-8") as fh:
@@ -237,24 +246,61 @@ def suite_digests():
         print("suite", name, "default limit", digest(json.dumps(report, sort_keys=True)))
 
 
+def broken(entries):
+    """Patch each (class, attribute, breaker) entry in until the exit."""
+    stack = contextlib.ExitStack()
+    for cls, attr, breaker in entries:
+        stack.enter_context(mock.patch.object(cls, attr, breaker(getattr(cls, attr))))
+    return stack
+
+
+def report_json(make):
+    """``make().to_json()`` as sorted JSON, or the type and text of the
+    exception it raises."""
+    try:
+        return json.dumps(make().to_json(), sort_keys=True)
+    except Exception as exc:  # the type and text are the output
+        return (type(exc).__name__, str(exc))
+
+
 def failing_suite_digests():
-    """Suite reports under each broken building block; an exception the
-    run raises is digested in place of its report."""
+    """Suite reports, and then ``run_fuzz(count=8)`` reports, under each
+    broken building block; an exception the run raises is digested in place
+    of its report."""
     broken_blocks = {**helpers.MUTANTS, **helpers.LYING_PREDICATES}
     patches = [(name, [entry]) for name, entry in broken_blocks.items()]
     patches.append(("lying_predicates", list(helpers.LYING_PREDICATES.values())))
     for label, entries in patches:
         for name in EXAMPLES:
             algebra = getattr(helpers, name)()
-            with contextlib.ExitStack() as stack:
-                for cls, attr, broken in entries:
-                    stack.enter_context(mock.patch.object(cls, attr, broken(getattr(cls, attr))))
-                try:
-                    report = run_theorem_suite(algebra, trials=2, seed=0).to_json()
-                    output = json.dumps(report, sort_keys=True)
-                except Exception as exc:  # the type and text are the output
-                    output = (type(exc).__name__, str(exc))
+            with broken(entries):
+                output = report_json(lambda: run_theorem_suite(algebra, trials=2, seed=0))
             print("suite", label, name, digest(output))
+    for label, entries in patches:
+        with broken(entries):
+            output = report_json(lambda: run_fuzz(count=8))
+        print("run_fuzz(8)", label, digest(output))
+
+
+def limit_and_basis_digests(work):
+    """Limits at and past sys.maxsize, EVOALG_MAX_ENUM under ``fuzz``, and
+    basis entries that are not strings."""
+    path = os.path.join(work, "six.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(algebra_to_document(helpers.six_dim_branching()), fh)
+    for limit in (str(sys.maxsize - 1), str(sys.maxsize), "9" * 23):
+        for mode in ("--all", "--saturated"):
+            print("hereditary --limit", limit, mode, run(["hereditary", path, mode, "--limit", limit]))
+        env = {"EVOALG_MAX_ENUM": limit}
+        print("EVOALG_MAX_ENUM", limit, "hereditary", run(["hereditary", path], env=env))
+        print("EVOALG_MAX_ENUM", limit, "verify", run(["verify", path, "--trials", "1"], env=env))
+    for limit in ("2", "9" * 23):
+        argv = ["fuzz", "--count", "2", "--dim", "6", "--field", "2"]
+        print("EVOALG_MAX_ENUM", limit, "fuzz", run(argv, env={"EVOALG_MAX_ENUM": limit}))
+    for label, entry in (("list", ["a"]), ("object", {"a": "1"})):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"field": "Q", "dim": 2, "basis": [entry, "b"], "squares": {}}, fh)
+        print("basis entry", label, run(["analyze", path]))
 
 
 def main_digests():
@@ -278,6 +324,7 @@ def main_digests():
             for extra in ([], ["--json"]):
                 print("fuzz --count 6", *extra, run(["fuzz", "--count", "6", "--seed", "4"] + extra))
                 print("error", *extra, run(["analyze", "missing.json"] + extra))
+            limit_and_basis_digests(work)
         finally:
             os.chdir(cwd)
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))

@@ -84,6 +84,10 @@ def test_document_rejects_unknown_keys():
             d.update(field={"prime": 5}),
             d["squares"].update(e1={"e1": "7" * 5000}),
         ),
+        lambda d: d.update(basis=[["e1"], "e2"]),
+        lambda d: d.update(basis=["e1", {"e2": "1"}]),
+        lambda d: d.update(squares=[]),
+        lambda d: d["squares"].update(e1="e2"),
     ],
 )
 def test_document_rejects_malformed(mutate):
@@ -193,6 +197,21 @@ def test_hereditary_respects_env_limit(six_file, capsys, monkeypatch):
     monkeypatch.setenv("EVOALG_MAX_ENUM", "bogus")
     code, _, err = run_cli(capsys, "hereditary", six_file)
     assert code == 2
+    # A limit past sys.maxsize is no limit at all.
+    monkeypatch.setenv("EVOALG_MAX_ENUM", "9" * 30)
+    code, out, err = run_cli(capsys, "hereditary", six_file)
+    assert (code, err) == (0, "")
+    assert out.endswith("count: 21\n")
+    code, _, err = run_cli(capsys, "verify", six_file, "--trials", "1")
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("limit", [str(sys.maxsize - 1), str(sys.maxsize), "9" * 30])
+@pytest.mark.parametrize("mode", ["--all", "--saturated"])
+def test_hereditary_limit_past_maxsize(six_file, capsys, mode, limit):
+    code, out, err = run_cli(capsys, "hereditary", six_file, mode, "--limit", limit)
+    assert (code, err) == (0, "")
+    assert out.endswith("count: 21\n" if mode == "--all" else "count: 8\n")
 
 
 def test_hereditary_saturated_limit_counts_saturated_sets(tmp_path, capsys):
@@ -522,6 +541,16 @@ def test_fuzz_command(capsys):
     assert out == json.dumps(run_fuzz(count=4, fields=(2,)).to_json(), indent=2) + "\n"
 
 
+def test_fuzz_respects_env_limit(capsys, monkeypatch):
+    monkeypatch.setenv("EVOALG_MAX_ENUM", "2")
+    code, out, err = run_cli(capsys, "fuzz", "--count", "2", "--dim", "6", "--field", "2")
+    assert (code, err) == (0, "")
+    assert (
+        "notice: algebra 0: hereditary enumeration exceeded the limit; "
+        "enumeration-backed laws were skipped\n"
+    ) in out
+
+
 def test_outputs_are_byte_identical_across_runs(six_file, capsys):
     for argv in (
         ["analyze", six_file, "--json"],
@@ -727,10 +756,11 @@ _TOKEN = st.sampled_from(
      "--limit", "--seed", "--set", "--generators", "--field", "--dim",
      "--density", "--trials", "-h", "0", "-1", "abc", "nan", "2:1", "65",
      "Q", "4", "e1,e2", "", "1,0;0,1", "1,x", "-a", "-e1,e2", "--set=-a",
-     "--out", "--dot", "²", "7" * 5000]
+     "--out", "--dot", "²", "7" * 5000, "9" * 19]
 )
-# EVOALG_MAX_ENUM: unset, not an integer, not positive, small, too long.
-_ENUM_LIMIT = st.sampled_from([None, "abc", "0", "-3", "5", "7" * 5000])
+# EVOALG_MAX_ENUM: unset, not an integer, not positive, small, past
+# sys.maxsize, too long.
+_ENUM_LIMIT = st.sampled_from([None, "abc", "0", "-3", "5", "9" * 19, "7" * 5000])
 
 
 @given(

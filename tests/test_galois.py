@@ -366,6 +366,37 @@ def test_trace_that_is_not_hereditary_fails_its_law(monkeypatch, tmp_path, capsy
     assert code == 1 and "result: FAILED" in out and err == ""
 
 
+def test_value_error_in_a_predicate_is_a_counterexample(monkeypatch):
+    # The hereditary sets of three_dim_perfect are {}, {e2}, {e2,e3} and all
+    # three; the first that raises is kept as the witness.
+    def refuse_nonempty(ctx, h):
+        if h:
+            raise ValueError("refused")
+        return True
+
+    law = ("refuse_nonempty", "law", [(galois._HEREDITARY, refuse_nonempty)], None)
+    monkeypatch.setattr(galois, "_REGISTRY", [law])
+    (res,) = run_theorem_suite(three_dim_perfect()).properties
+    assert (res.checked, res.failed, res.witness) == (4, 3, {"H": ["e2"]})
+
+
+def test_suite_span_memo_raises_off_hereditary_sets():
+    ctx = galois._Ctx(three_dim_perfect(), 0, 0, DEFAULT_ENUM_LIMIT)
+    assert ctx.span(frozenset({1})) is ctx.span(frozenset({1}))
+    for _ in range(2):  # a refusal is not remembered
+        with pytest.raises(ValueError):
+            ctx.span(frozenset({0}))
+
+
+def test_witness_arguments_are_shown_by_type():
+    A = three_dim_perfect()
+    ideal = ideal_from_hereditary(A, {1})
+    assert galois._shown(A, frozenset({2, 1})) == ["e2", "e3"]
+    assert galois._shown(A, ideal) == [["0", "1", "0"]]
+    assert galois._shown(A, [frozenset(), ideal]) == [[], [["0", "1", "0"]]]
+    assert galois._shown(A, None) is None
+
+
 def _reference_hereditary_pairs(hs, rng):
     """Every pair (hs[i], hs[j]) with i <= j; past MAX_PAIRS a sample of the
     list, sorted by the masks of the pair."""

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from helpers import (
     three_dim_collapsing,
     three_dim_perfect,
     two_cycle,
+    zero_algebra,
 )
 
 
@@ -112,6 +114,24 @@ def test_hereditary_vertices_of_mirror_ideal_is_whole_basis():
 def test_hereditary_vertices_of_zero_ideal():
     A = two_cycle()
     assert ideal_closure(A, []).hereditary_vertices == frozenset()
+
+
+def test_vertex_spans_share_the_unit_rows():
+    A = zero_algebra(10)
+    assert all(A.unit(i) is A.unit(i) for i in range(A.n))
+    basis = ideal_from_hereditary(A, {1, 4}).subspace.basis
+    assert basis[0] is A.unit(1) and basis[1] is A.unit(4)
+    # The spans of all 1,024 hereditary sets build no rows of their own:
+    # 0.3 MiB here, 0.9 MiB with a fresh row per vertex of each span.
+    hereditary = A.graph.hereditary_sets()
+    tracemalloc.start()
+    try:
+        spans = [ideal_from_hereditary(A, h) for h in hereditary]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spans) == 1024
+    assert held < 0.5 * 2**20
 
 
 def test_hereditary_vertices_with_empty_basis_trace():

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from evoalg import GF2, QQ, EnumerationLimitError, PrimeField
+from evoalg import ideals
+from evoalg.graph import Digraph
 from evoalg.ideals import Ideal, is_ideal
 from evoalg.oracle import (
     RandomSpec,
@@ -300,3 +302,79 @@ def test_certification_sees_every_subspace_at_small_dims():
     assert result["subspaces"] == 16
     assert result["compared"] == 16
     assert result["mismatches"] == []
+
+
+def _no_maximal_ideals(f):
+    """A report that claims to be complete and lists no maximal ideal."""
+
+    def report(algebra, *args, **kwargs):
+        out = f(algebra, *args, **kwargs)
+        out["hyperplane_family"] = {"kind": "none", "count": 0, "ideals": []}
+        out["from_maximal_hereditary"] = []
+        out["complete"] = True
+        return out
+
+    return report
+
+
+# Each lie: the owner and name of a fast function the harness compares, how
+# to break it, and the mismatch the harness must then report.
+_LIES = [
+    (Digraph, "hereditary_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
+     "hereditary enumeration differs from brute force"),
+    (Digraph, "hereditary_saturated_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
+     "hereditary saturated sets differ from brute force"),
+    (Digraph, "maximal_hereditary_sets", lambda f: lambda self: list(f(self))[:-1],
+     "maximal hereditary sets differ from brute maxima"),
+    (Digraph, "tree", lambda f: lambda self, vertices: frozenset(vertices),
+     "trees differ from per-vertex searches"),
+    (Digraph, "is_simple", lambda f: lambda self: not f(self),
+     "graph simplicity differs from per-vertex searches"),
+    (Digraph, "source_components", lambda f: lambda self: list(f(self))[:-1],
+     "source components differ from per-vertex searches"),
+    (Digraph, "min_generating_vertex_set", lambda f: lambda self: (0, frozenset()),
+     "min generating vertex set differs from the subset sweep"),
+    (ideals, "is_ideal", lambda f: lambda algebra, s: not f(algebra, s),
+     "is_ideal mismatch at subspace 0"),
+    (ideals, "ideal_closure",
+     lambda f: lambda algebra, gens: f(algebra, list(gens) + [algebra.unit(0)]),
+     "ideal_closure mismatch at subspace 0"),
+    (ideals, "find_proper_nonzero_ideal", lambda f: lambda algebra: None,
+     "find_proper_nonzero_ideal disagrees with brute force"),
+    (ideals, "maximal_ideals_report", _no_maximal_ideals,
+     "maximal_ideals_report is complete but lists other ideals"),
+    (Ideal, "has_absorption", lambda f: lambda self: not f(self),
+     "has_absorption mismatch"),
+    (Ideal, "basis_vertices", lambda f: lambda self: frozenset(),
+     "basis_vertices mismatch"),
+    (Ideal, "is_spanned_by_basis_vertices", lambda f: lambda self: not f(self),
+     "is_spanned_by_basis_vertices mismatch"),
+    (Ideal, "is_maximal", lambda f: lambda self: not f(self),
+     "is_maximal mismatch"),
+]
+
+
+# Both certify clean, have a proper nonzero ideal and a vertex outside a tree,
+# and enumerate the zero subspace first; each test builds its own algebra, so
+# no lie is left cached in one.
+_HONEST = {
+    "F2-dim4": lambda: four_dim_all_to_third(GF2),
+    "F3-dim3": lambda: three_dim_perfect(PrimeField(3)),
+}
+
+
+def test_certification_examples_are_clean():
+    for example in _HONEST.values():
+        assert certify_fast_vs_brute(example())["mismatches"] == []
+
+
+@pytest.mark.parametrize(
+    "owner, name, breaker, message", _LIES, ids=[lie[1] for lie in _LIES]
+)
+@pytest.mark.parametrize("example", _HONEST.values(), ids=_HONEST.keys())
+def test_certification_catches_each_lie(
+    monkeypatch, example, owner, name, breaker, message
+):
+    A = example()
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
+    assert message in certify_fast_vs_brute(A)["mismatches"]
