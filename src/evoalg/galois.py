@@ -197,12 +197,6 @@ class PropertyReport:
         }
 
 
-def _coefficient_pool(field):
-    if field.order is None:
-        return [field.from_int(k) for k in (-2, -1, 0, 1, 2)]
-    return [field.from_int(k) for k in range(field.order)]
-
-
 class _Ctx:
     """Shared data for one suite run; each derived value is built once."""
 
@@ -258,10 +252,11 @@ class _Ctx:
             add(self.span(h))
         for i in range(min(A.n, 6)):
             add(ideal_closure(A, [A.unit(i)]))
-        pool = _coefficient_pool(A.field)
+        # A range, not a list: a prime field may have up to 2^31 elements.
+        pool = range(-2, 3) if A.field.order is None else range(A.field.order)
         for _ in range(trials):
             gens = [
-                [self.rng.choice(pool) for _ in range(A.n)]
+                [A.field.from_int(self.rng.choice(pool)) for _ in range(A.n)]
                 for _ in range(self.rng.randint(1, 3))
             ]
             add(ideal_closure(A, gens))

@@ -9,11 +9,11 @@ vertex sets is returned, it is sorted by the bitmask integer with bit ``i``
 standing for vertex ``i``, which fixes a deterministic output order.
 
 Paths are never materialised.  Reachability is one table, the vertex mask of
-everything each vertex reaches, and trees, components and strong connectivity
-are all read off it; hereditary sets are generated already in bitmask order,
-deciding vertices from the highest down.  The table costs O(n^2) mask ORs,
-which is small because every graph the library builds comes from an algebra
-or its quotient, so n <= ``DIM_CAP`` = 64.
+everything each vertex reaches, and trees, components, their topological order
+and strong connectivity are all read off it; hereditary sets are generated
+already in bitmask order, deciding vertices from the highest down.  The table
+costs O(n^2) mask ORs, which is small because every graph the library builds
+comes from an algebra or its quotient, so n <= ``DIM_CAP`` = 64.
 
 Saturated hereditary sets come from the same walk, cut wherever the saturated
 closure of the chosen vertices meets an excluded one: every branch left holds
@@ -22,7 +22,6 @@ that closure, so at most n + 1 sets are tested per saturated set returned.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
@@ -188,52 +187,34 @@ class Digraph:
 
         Returns ``(components, dag_out)`` with components sorted so that every
         condensation edge goes from an earlier to a later entry, ties broken
-        by smallest member vertex.  A component is a class of mutual
-        reachability in the one table ``_reach_masks``, found from its
-        smallest vertex in O(n^2) bit tests; n <= ``DIM_CAP`` for every
-        algebra graph.
+        by smallest member vertex.  Both are read off the one table
+        ``_reach_masks``: a component is a class of mutual reachability, and
+        the next one in the order is the component of the smallest vertex
+        left that no vertex left outside that component reaches, which is
+        Kahn's order with a min-heap.  That takes O(n^2) bit tests; n <=
+        ``DIM_CAP`` for every algebra graph.
         """
         n = self.n
         reach = self._reach_masks
-        comps = []
-        comp_of = [-1] * n
-        for v in range(n):
-            if comp_of[v] < 0:
-                comp = frozenset(
-                    u for u in range(v, n) if reach[v] >> u & 1 and reach[u] >> v & 1
-                )
-                for u in comp:
-                    comp_of[u] = len(comps)
-                comps.append(comp)
-
-        dag = [set() for _ in comps]
-        for i in range(n):
-            for j in self.out[i]:
-                if comp_of[i] != comp_of[j]:
-                    dag[comp_of[i]].add(comp_of[j])
-
-        # Deterministic topological order: Kahn with a min-heap on the
-        # smallest vertex of each component.
-        indeg = [0] * len(comps)
-        for ci, targets in enumerate(dag):
-            for cj in targets:
-                indeg[cj] += 1
-        heap = [(min(comp), ci) for ci, comp in enumerate(comps) if indeg[ci] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            _, ci = heapq.heappop(heap)
-            order.append(ci)
-            for cj in dag[ci]:
-                indeg[cj] -= 1
-                if indeg[cj] == 0:
-                    heapq.heappush(heap, (min(comps[cj]), cj))
-        renum = {old: new for new, old in enumerate(order)}
-        components = tuple(comps[old] for old in order)
+        reached_by = [
+            vertex_set_mask(u for u in range(n) if reach[u] >> v & 1) for v in range(n)
+        ]
+        components = []
+        left = (1 << n) - 1
+        while left:
+            v = next(
+                v for v in range(n)
+                if left >> v & 1 and not reached_by[v] & left & ~reach[v]
+            )
+            members = reach[v] & reached_by[v]
+            components.append(_mask_to_frozenset(members))
+            left &= ~members
+        comp_of = {v: ci for ci, comp in enumerate(components) for v in comp}
         dag_out = tuple(
-            frozenset(renum[cj] for cj in dag[old]) for old in order
+            frozenset(comp_of[j] for i in comp for j in self.out[i]) - {ci}
+            for ci, comp in enumerate(components)
         )
-        return components, dag_out
+        return tuple(components), dag_out
 
     def condensation(self):
         """The strongly connected components and the DAG between them."""
@@ -295,10 +276,13 @@ class Digraph:
         """Saturated hereditary sets, sorted by bitmask; may hit the limit.
 
         ``limit`` counts the sets returned.  Only the cut walk's candidates,
-        at most n + 1 per saturated set, are built and tested.
+        at most n + 1 per saturated set, are built and tested; the limit is
+        checked on the masks that pass, so the returned sets are built after
+        it, a second time each.
         """
-        candidates = map(_mask_to_frozenset, self._hereditary_masks(saturated=True))
-        return _take(filter(self.is_saturated, candidates), limit)
+        masks = self._hereditary_masks(saturated=True)
+        saturated = (m for m in masks if self.is_saturated(_mask_to_frozenset(m)))
+        return [_mask_to_frozenset(m) for m in _take(saturated, limit)]
 
     # -- simplicity and quotients -------------------------------------------
 

@@ -236,10 +236,11 @@ def _hyperplanes_over_square_span(algebra):
     out = []
     # Nonzero combinations whose first nonzero coefficient is one, in
     # lexicographic order: one functional per hyperplane.
+    codim = len(functionals)
     combos = (
-        v
-        for v in itertools.product(range(p), repeat=len(functionals))
-        if next((x for x in v if x), 0) == 1
+        (0,) * k + (1,) + rest
+        for k in range(codim - 1, -1, -1)
+        for rest in itertools.product(range(p), repeat=codim - 1 - k)
     )
     for coeffs in combos:
         phi = [sum(c * f for c, f in zip(coeffs, col)) % p for col in zip(*functionals)]

@@ -352,7 +352,7 @@ class RandomSpec:
     def coefficient_pool(self):
         if self.field.order is None:
             return (-2, -1, 1, 2)
-        return tuple(range(1, self.field.order))
+        return range(1, self.field.order)
 
 
 def _random_squares(rng, spec, min_dim, max_dim):

@@ -31,8 +31,13 @@ counts and witnesses are compared too, plus ``run_fuzz(count=8)`` reports
 under the same patches, plus the published ``SCHEMAS`` under ``json.dumps``,
 plus ``hereditary`` and ``verify`` at limits at and past ``sys.maxsize``,
 ``fuzz`` under ``EVOALG_MAX_ENUM`` and ``analyze`` on basis entries that are
-not strings; an exception that escapes a command is digested as its output.  The script imports the ``src`` tree next to it, so each
-checkout measures its own code.  Pytest does not collect it.
+not strings, plus ``verify`` (text and ``--json``) on a 3-dimensional document
+over F_1000003, ``verify --random`` and ``fuzz`` over F_1000003,
+``maximal-ideals --json`` over F_1021 with codimension two, and
+``hereditary --saturated`` and ``verify`` on ``zero_algebra(16)`` under
+``EVOALG_MAX_ENUM=1000``; an exception that escapes a command is digested as
+its output.  The script imports the ``src`` tree next to it, so each checkout
+measures its own code.  Pytest does not collect it.
 """
 
 import contextlib
@@ -49,7 +54,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 
 import helpers  # noqa: E402
-from evoalg import Digraph, PrimeField, QQ, algebra_to_document  # noqa: E402
+from evoalg import Digraph, EvolutionAlgebra, PrimeField, QQ, algebra_to_document  # noqa: E402
 from evoalg.cli import main  # noqa: E402
 from evoalg.galois import run_fuzz, run_theorem_suite  # noqa: E402
 from evoalg.ideals import ideal_closure, maximal_ideals_report  # noqa: E402
@@ -303,6 +308,39 @@ def limit_and_basis_digests(work):
         print("basis entry", label, run(["analyze", path]))
 
 
+def large_field_and_saturated_limit_digests(work):
+    """``verify`` and ``fuzz`` over F_1000003, ``maximal-ideals`` with 1,022
+    hyperplanes over F_1021, and ``zero_algebra(16)``, whose 65,536 sets are
+    all saturated, under ``EVOALG_MAX_ENUM=1000``."""
+    spec = RandomSpec(field=PrimeField(1000003), min_dim=3, max_dim=3, seed=5)
+    documents = (
+        ("large-field.json", random_algebra(spec), (["verify"], ["verify", "--json"]), None),
+        (
+            "codim-two.json",
+            EvolutionAlgebra(PrimeField(1021), [[1, 2, 3], [0, 0, 0], [0, 0, 0]]),
+            (["maximal-ideals", "--json"],),
+            None,
+        ),
+        (
+            "zero-16.json",
+            helpers.zero_algebra(16),
+            (["hereditary", "--saturated"], ["verify", "--trials", "1"]),
+            {"EVOALG_MAX_ENUM": "1000"},
+        ),
+    )
+    for name, algebra, commands, env in documents:
+        path = os.path.join(work, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(algebra_to_document(algebra), fh)
+        for argv in commands:
+            print(name, *argv, run([argv[0], path] + argv[1:], env=env))
+    for argv in (
+        ["verify", "--random", "--field", "1000003", "--dim", "3"],
+        ["fuzz", "--field", "1000003", "--count", "3", "--dim", "2:3"],
+    ):
+        print(*argv, run(argv))
+
+
 def main_digests():
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -325,6 +363,7 @@ def main_digests():
                 print("fuzz --count 6", *extra, run(["fuzz", "--count", "6", "--seed", "4"] + extra))
                 print("error", *extra, run(["analyze", "missing.json"] + extra))
             limit_and_basis_digests(work)
+            large_field_and_saturated_limit_digests(work)
         finally:
             os.chdir(cwd)
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))

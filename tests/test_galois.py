@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra, algebra_to_document
+from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, algebra_to_document
 from evoalg import galois
 from evoalg.cli import main
 from evoalg.graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
@@ -432,6 +432,23 @@ def test_suite_memory_does_not_follow_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_coefficients_are_drawn_without_listing_the_field():
+    # The suite's sampled generators and the fuzz corpus both draw from
+    # F_1000003; a list of its elements alone would take tens of MiB.
+    runs = (
+        lambda: run_theorem_suite(EvolutionAlgebra(PrimeField(1000003), [[1, 2], [0, 3]])),
+        lambda: run_fuzz(count=1, min_dim=2, max_dim=2, fields=(1000003,)),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            assert run().ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_suite_context_walks_the_hereditary_family_once():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -218,6 +219,20 @@ def test_saturated_limit_counts_saturated_sets():
     assert g.hereditary_saturated_sets(limit=2**13) == sat
     with pytest.raises(EnumerationLimitError, match="^more than 8191 hereditary sets$"):
         g.hereditary_saturated_sets(limit=2**13 - 1)
+
+
+def test_saturated_limit_is_checked_before_the_sets_are_built():
+    # All 2^24 vertex sets of zero_algebra(24) are saturated.  Past the limit
+    # only 20,001 masks are held, not 20,001 frozensets (13 MiB).
+    g = zero_algebra(24).graph
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError, match="^more than 20000 hereditary sets$"):
+            g.hereditary_saturated_sets(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def _saturated_cut_graph(k):

@@ -1,9 +1,10 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, rref
+from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, nullspace, rref
 from evoalg.ideals import (
     CRITERION_HYPERPLANE,
     CRITERION_MAX_HEREDITARY,
@@ -366,6 +367,41 @@ def test_report_enumerates_hyperplanes_over_prime_field():
             [["1", "0", "0", "1"], ["0", "1", "0", "2"], ["0", "0", "1", "1"]],
         ],
     }
+
+
+def test_report_generates_only_one_functional_per_hyperplane(monkeypatch):
+    def first_nonzero_is_one(coeffs):
+        return next((x for x in coeffs if x), 0) == 1
+
+    # e1^2 = e1 + ... + en and the other squares zero: codimension n - 1.
+    for p in (2, 3, 5, 7):
+        for c in (2, 3):
+            F = PrimeField(p)
+            A = EvolutionAlgebra(F, [[int(i == 0)] * (c + 1) for i in range(c + 1)])
+            functionals = nullspace(F, A.n, A.square_span.basis)
+            combos = filter(first_nonzero_is_one, itertools.product(range(p), repeat=c))
+            fam = maximal_ideals_report(A)["hyperplane_family"]
+            assert fam["count"] == len(fam["ideals"]) == (p**c - 1) // (p - 1)
+            # The i-th hyperplane is the kernel of the i-th functional in the
+            # lexicographic order of the coefficients, filtered.
+            for coeffs, rows in zip(combos, fam["ideals"], strict=True):
+                phi = [sum(k * f.value for k, f in zip(coeffs, col)) for col in zip(*functionals)]
+                assert all(sum(int(x) * y for x, y in zip(row, phi)) % p == 0 for row in rows)
+
+    # Over F_101 with codimension two, only the 102 wanted coefficient
+    # vectors are made, not all 101^2.
+    made = 0
+    product = itertools.product
+
+    def counted(*args, **kwargs):
+        nonlocal made
+        for v in product(*args, **kwargs):
+            made += 1
+            yield v
+
+    monkeypatch.setattr(itertools, "product", counted)
+    fam = maximal_ideals_report(zero_algebra(2, PrimeField(101)))["hyperplane_family"]
+    assert fam["count"] == len(fam["ideals"]) == made == 102
 
 
 def test_report_unique_hyperplane_when_codim_one():
