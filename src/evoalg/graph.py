@@ -10,10 +10,10 @@ standing for vertex ``i``, which fixes a deterministic output order.
 
 Paths are never materialised.  Reachability is one table, the vertex mask of
 everything each vertex reaches, and trees, components, their topological order
-and strong connectivity are all read off it; hereditary sets are generated
-already in bitmask order, deciding vertices from the highest down.  The table
-costs O(n^2) mask ORs, which is small because every graph the library builds
-comes from an algebra or its quotient, so n <= ``DIM_CAP`` = 64.
+and strong connectivity are all read off it.  Hereditary sets are walked in
+bitmask order, highest vertex first; after the limit check on their masks each
+is its walk parent's set | one tree, so it may iterate out of index order.  The
+table costs O(n^2) mask ORs; an algebra's graph has n <= ``DIM_CAP`` = 64.
 
 Saturated hereditary sets come from the same walk, cut wherever the saturated
 closure of the chosen vertices meets an excluded one: every branch left holds
@@ -52,12 +52,12 @@ def _mask_to_frozenset(mask: int) -> frozenset:
     return frozenset(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
-def _take(items, limit):
-    """The items as a list; raises once ``limit`` (at least 1) is passed."""
+def _take(items, limit, family):
+    """The items as a list; raises, naming ``family``, past ``limit`` (at least 1)."""
     cap = min(max(limit, 1), sys.maxsize - 1)  # islice takes no stop past maxsize
     out = list(islice(items, cap + 1))
     if len(out) > cap:
-        raise EnumerationLimitError(f"more than {limit} hereditary sets")
+        raise EnumerationLimitError(f"more than {limit} {family}")
     return out
 
 
@@ -236,7 +236,7 @@ class Digraph:
         complements = (self._vertices - c for c in self.source_components())
         return sorted(complements, key=vertex_set_mask)
 
-    def _hereditary_masks(self, saturated=False):
+    def _hereditary_masks(self, saturated=False, links=None):
         """Every hereditary set as a mask, in increasing order.
 
         Vertices are decided from n-1 down to 0, "out" before "in".  A vertex
@@ -248,29 +248,44 @@ class Digraph:
         set below it holds that closure.  A kept node has the closure itself,
         hereditary and saturated, among its descendants, so every yield is
         one of the at most n + 1 nodes on the path to a saturated set: at
-        most n + 1 yields per saturated set.
+        most n + 1 yields per saturated set.  With ``links``, two lists, each
+        yield first appends its parent's yield position and the vertex v it
+        added: its mask is the parent's | reach[v].
         """
         reach = self._reach_masks
-        stack = [(self.n - 1, 0, 0)]
+        stack = [(self.n, 0, 0, 0)]
+        k = 0
         while stack:
-            i, inc, exc = stack.pop()
+            added, inc, exc, parent = stack.pop()
+            if links:
+                links[0].append(parent)
+                links[1].append(added)
             yield inc
-            for v in range(i, -1, -1):
+            for v in range(added - 1, -1, -1):
                 bit = 1 << v
                 if not inc & bit:
                     if not reach[v] & exc:
                         child = inc | reach[v]
                         if not (saturated and self._saturate(child) & exc):
-                            stack.append((v - 1, child, exc))
+                            stack.append((v, child, exc, k))
                     exc |= bit
+            k += 1
 
     def hereditary_sets(self, limit=DEFAULT_ENUM_LIMIT):
         """Every hereditary vertex set, sorted by bitmask; may hit the limit.
 
-        The sets come from an in-order generator, and the limit is checked
-        on its masks before any set is built.  A limit below 1 acts as 1.
+        After the limit check on the walk's masks, each set is one union: its
+        walk parent's set | the tree of the vertex it added, built on first
+        use.  A limit below 1 acts as 1.
         """
-        return [_mask_to_frozenset(m) for m in _take(self._hereditary_masks(), limit)]
+        parents, added = links = [], []
+        _take(self._hereditary_masks(links=links), limit, "hereditary sets")
+        reach, trees, sets = self._reach_masks, [None] * self.n, [frozenset()]
+        for p, v in zip(islice(parents, 1, None), islice(added, 1, None)):
+            if trees[v] is None:
+                trees[v] = _mask_to_frozenset(reach[v])
+            sets.append(sets[p] | trees[v])
+        return sets
 
     def hereditary_saturated_sets(self, limit=DEFAULT_ENUM_LIMIT):
         """Saturated hereditary sets, sorted by bitmask; may hit the limit.
@@ -281,8 +296,8 @@ class Digraph:
         it, a second time each.
         """
         masks = self._hereditary_masks(saturated=True)
-        saturated = (m for m in masks if self.is_saturated(_mask_to_frozenset(m)))
-        return [_mask_to_frozenset(m) for m in _take(saturated, limit)]
+        kept = (m for m in masks if self.is_saturated(_mask_to_frozenset(m)))
+        return [_mask_to_frozenset(m) for m in _take(kept, limit, "hereditary saturated sets")]
 
     # -- simplicity and quotients -------------------------------------------
 

@@ -13,7 +13,8 @@ through ``cli.main`` with and without ``--json``, on the example algebras of
 ``run_fuzz(200).to_json()``, plus the graph results (components, condensation
 DAG, source components, maximal hereditary sets, trees, saturated closures,
 sources and simplicity) of seeded random ``Digraph``s with up to 64 vertices
-and their hereditary saturated sets, in order, with up to 20 vertices, plus
+and their hereditary sets and hereditary saturated sets, each set's members
+sorted, in list order, with up to 20 vertices, plus
 the linear-algebra results (ideal closures with their pivots, hereditary and
 basis vertices, absorption and maximality criterion; the errors for ragged and
 unparseable generators; ``maximal_ideals_report``; intersections of random
@@ -174,6 +175,7 @@ def graph_digests():
         ):
             print("graph", k, f"n={g.n}", label, digest(value))
     for k, g in enumerate(random_digraphs(max_n=20)):
+        print("graph", k, f"n={g.n}", "hereditary_sets", digest(sets(g.hereditary_sets())))
         print("graph", k, f"n={g.n}", "hereditary_saturated_sets", digest(sets(g.hereditary_saturated_sets())))
 
 

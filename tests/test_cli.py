@@ -25,7 +25,9 @@ from evoalg import (
 from evoalg.cli import main
 from evoalg.schemas import DOCUMENT, SCHEMAS
 
-from helpers import disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle
+from helpers import (
+    disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle, zero_algebra,
+)
 
 
 @pytest.fixture
@@ -189,6 +191,21 @@ def test_hereditary_modes(six_file, capsys):
     assert all(e["saturated"] for e in sat["sets"])
 
 
+def test_hereditary_sets_list_labels_in_index_order(tmp_path, capsys):
+    # A set built by a union may iterate out of index order ({0, 8} as 8, 0);
+    # every rendered set still lists its labels in index order.
+    A = zero_algebra(9)
+    path = tmp_path / "zero9.json"
+    path.write_text(json.dumps(algebra_to_document(A)))
+    code, out, _ = run_cli(capsys, "hereditary", str(path), "--all", "--json")
+    assert code == 0
+    entries = json.loads(out)["sets"]
+    assert len(entries) == 2**9
+    for entry in entries:
+        positions = [A.labels.index(label) for label in entry["vertices"]]
+        assert positions == sorted(positions)
+
+
 def test_hereditary_respects_env_limit(six_file, capsys, monkeypatch):
     monkeypatch.setenv("EVOALG_MAX_ENUM", "5")
     code, _, err = run_cli(capsys, "hereditary", six_file)
@@ -223,7 +240,7 @@ def test_hereditary_saturated_limit_counts_saturated_sets(tmp_path, capsys):
     assert len(json.loads(out)["sets"]) == 2**13
     code, out, err = run_cli(capsys, "hereditary", str(path), "--saturated", "--limit", "8191")
     assert (code, out) == (2, "")
-    assert err == "error: more than 8191 hereditary sets\n"
+    assert err == "error: more than 8191 hereditary saturated sets\n"
 
 
 def test_maximal_ideals_command(perfect_file, capsys):

@@ -204,7 +204,7 @@ def test_enumeration_limit():
     assert len(edgeless(3).hereditary_sets(limit=8)) == 8
     with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary sets$"):
         edgeless(3).hereditary_sets(limit=7)
-    with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary sets$"):
+    with pytest.raises(EnumerationLimitError, match="^more than 7 hereditary saturated sets$"):
         edgeless(3).hereditary_saturated_sets(limit=7)
 
 
@@ -217,8 +217,36 @@ def test_saturated_limit_counts_saturated_sets():
     assert sat == sorted(sat, key=vertex_set_mask)
     assert all(h == g.saturated_closure(h) for h in sat[::97])
     assert g.hereditary_saturated_sets(limit=2**13) == sat
-    with pytest.raises(EnumerationLimitError, match="^more than 8191 hereditary sets$"):
+    with pytest.raises(EnumerationLimitError, match="^more than 8191 hereditary saturated sets$"):
         g.hereditary_saturated_sets(limit=2**13 - 1)
+
+
+def test_hereditary_limit_is_checked_before_the_sets_are_built():
+    # Past the limit only 20,001 masks and their walk links are held, not
+    # 20,001 frozensets (about 14 MiB).
+    g = zero_algebra(24).graph
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError, match="^more than 20000 hereditary sets$"):
+            g.hereditary_sets(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+def test_hereditary_family_memory():
+    # 65,536 sets, each its walk parent's set | one tree: 47.3 MiB when
+    # every set was built from its mask, about 38 MiB by unions.
+    g = zero_algebra(16).graph
+    tracemalloc.start()
+    try:
+        family = g.hereditary_sets()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 2**16
+    assert peak < 42 * 2**20
 
 
 def test_saturated_limit_is_checked_before_the_sets_are_built():
@@ -227,7 +255,7 @@ def test_saturated_limit_is_checked_before_the_sets_are_built():
     g = zero_algebra(24).graph
     tracemalloc.start()
     try:
-        with pytest.raises(EnumerationLimitError, match="^more than 20000 hereditary sets$"):
+        with pytest.raises(EnumerationLimitError, match="^more than 20000 hereditary saturated sets$"):
             g.hereditary_saturated_sets(20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
