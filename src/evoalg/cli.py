@@ -4,8 +4,8 @@ Exit codes: 0 success (and all properties hold), 1 verification failure,
 2 usage or input error.  ``EVOALG_MAX_ENUM`` overrides the hereditary
 enumeration limit.  Every command takes ``--json`` for the machine format;
 scalars stay exact strings there.  ``simple`` looks for a proper nonzero
-ideal with the brute-force oracle when the subspace enumeration is small
-(prime fields only), and otherwise by the graph theorem.
+ideal with the brute-force oracle when the oracle's cost guard admits the
+input (prime fields only), and otherwise by the graph theorem.
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ def _emit(args, obj, text):
 
 def _print(text):
     """Write to stdout; a reader that closed the pipe early (``| head``) is
-    not an error of the command, which keeps its own exit code."""
+    not an error of the command, which keeps its own exit code.  Text that
+    the stream cannot encode is an input error, and nothing is written: the
+    stream encodes all of it before writing."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -131,6 +133,12 @@ def _print(text):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except UnicodeEncodeError as exc:
+        bad = ascii(exc.object[exc.start : exc.end])
+        raise InputError(
+            f"stdout encoding {exc.encoding} cannot write {bad}; "
+            "--json output is ASCII"
+        ) from None
 
 
 def _write_file(path, text):
@@ -244,36 +252,26 @@ def cmd_maximal_ideals(args):
     return _emit(args, obj, "\n".join(lines))
 
 
-def _exhaustive_feasible(algebra):
-    """A prime field, at most ``SUBSPACE_GUARD`` vectors and 3000 subspaces."""
-    if algebra.field.order is None:
-        return False
-    p, n = algebra.field.order, algebra.n
-    if p**n > oracle.SUBSPACE_GUARD:
-        return False
-    total = sum(oracle.gaussian_binomial(n, k, p) for k in range(n + 1))
-    return total <= 3000
-
-
 def simplicity_verdicts(algebra):
     """Graph verdict plus an ideal-search verdict for simplicity.
 
-    The search is exhaustive (brute-force oracle) whenever the subspace
-    enumeration is small enough, else it follows the graph theorem of
+    The search is exhaustive (brute-force oracle) when the oracle's cost guard
+    admits the input, else it follows the graph theorem of
     ``ideals.find_proper_nonzero_ideal``.  Beside ``graph_simple`` the keys
     are those of the ``ideal_search`` object that ``simple`` prints.
     """
     graph_simple = algebra.graph.is_simple()
-    if _exhaustive_feasible(algebra):
-        method = "exhaustive"
-        witness = next(
-            (s for s in oracle.brute_force_ideals(algebra) if 0 < s.dim < algebra.n),
-            None,
-        )
-    else:
+    try:
+        if not isinstance(algebra.field, PrimeField):
+            raise EnumerationLimitError("the oracle runs over prime fields only")
+        found = oracle.brute_force_ideals(algebra)
+    except EnumerationLimitError:
         method = "theorem"
         ideal = ideals.find_proper_nonzero_ideal(algebra)
         witness = ideal.subspace if ideal is not None else None
+    else:
+        method = "exhaustive"
+        witness = next((s for s in found if 0 < s.dim < algebra.n), None)
     return {
         "graph_simple": graph_simple,
         "method": method,

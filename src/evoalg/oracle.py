@@ -9,6 +9,12 @@ and source components), saturation is read off the squares, idealness and
 absorption quantify literally over all p^n vectors with early exit on the
 first violation, and maximality is pairwise inclusion over the complete ideal
 list.
+
+Three guards bound the work, each checked before any of it is done and each
+raising ``EnumerationLimitError``: ``SUBSPACE_GUARD`` caps the p^n vectors of
+a subspace enumeration, ``IDEAL_SEARCH_GUARD`` caps the products that
+``brute_force_ideals`` can evaluate, and ``HEREDITARY_GUARD`` caps the n of the
+2^n subsets that ``brute_force_hereditary`` sweeps.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
 ]
 
 SUBSPACE_GUARD = 2**16
+IDEAL_SEARCH_GUARD = 2 * 10**6
 HEREDITARY_GUARD = 20
 
 
@@ -252,21 +259,14 @@ def brute_force_absorption(algebra, subspace):
     return True
 
 
-def _brute_basis_vertices(algebra, subspace):
-    """Indices whose unit vector lies in the materialised element set, and
-    whether those unit vectors span it: the set has p^|B| elements."""
-    p, n = algebra.field.p, algebra.n
-    elems = _elements(algebra, subspace)
-    if p == 2:
-        units = [1 << i for i in range(n)]
-    else:
-        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    b = frozenset(i for i in range(n) if units[i] in elems)
-    return b, len(elems) == p ** len(b)
-
-
 def brute_force_ideals(algebra):
-    """All ideals, by filtering the full subspace enumeration."""
+    """All ideals by filtering every subspace; refused if the closure test could
+    take over ``IDEAL_SEARCH_GUARD`` products, p^n per subspace element."""
+    _check_guard(algebra.field, algebra.n)
+    p, n = algebra.field.p, algebra.n
+    products = sum(gaussian_binomial(n, k, p) * p ** (n + k) for k in range(n + 1))
+    if products > IDEAL_SEARCH_GUARD:
+        raise EnumerationLimitError(f"{products} products exceed the ideal search guard")
     return [
         s
         for s in enumerate_subspaces(algebra.field, algebra.n)
@@ -455,6 +455,10 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     with per-vertex searches.  The min generating vertex set must have the
     least size of the 2^n subsets whose searches reach every vertex, and
     its witness must be that large and reach every vertex.
+    The span of the n^2 literal products e_i e_j must have the element set of
+    ``square_span``, and ``is_perfect`` must hold exactly when it has p^n
+    elements; every brute-force ideal I must have as ``hereditary_vertices``
+    the i whose literal square e_i e_i lies in I's element set.
     Every compared subspace also has its ``ideal_closure`` checked against
     the least brute-force ideal holding it, and a ``maximal_ideals_report``
     that claims to be complete must list exactly the brute-force maximal
@@ -509,6 +513,23 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     if not size == least == len(witness) or reached != full:
         mismatches.append("min generating vertex set differs from the subset sweep")
 
+    # The n^2 literal products e_i e_j, of which e_i e_i is the square of e_i.
+    p = A.field.p
+    if p == 2:
+        units = [1 << i for i in range(A.n)]
+        table = _f2_view(A).table
+        products = [table[x & y] for x in units for y in units]
+        literal_span = _span_masks(products)
+    else:
+        units = [tuple(int(j == i) for j in range(A.n)) for i in range(A.n)]
+        products = [_prod_tuple(squares, x, y, p, A.n) for x in units for y in units]
+        literal_span = _span_tuples(products, p, A.n)
+    literal_squares = products[:: A.n + 1]
+    if literal_span != _elements(A, A.square_span):
+        mismatches.append("square span differs from the span of the literal products")
+    if A.is_perfect() != (len(literal_span) == p**A.n):
+        mismatches.append("is_perfect differs from the span of the literal products")
+
     if subspaces is None:
         subspaces = list(enumerate_subspaces(A.field, A.n))
     brute_flags = [brute_force_is_ideal(A, s) for s in subspaces]
@@ -516,7 +537,6 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
 
     # The least ideal holding a set has the smallest dimension of those that
     # hold it, because ideals are closed under intersection.
-    p = A.field.p
     by_dim = sorted(
         ((t, _elements(A, t)) for t in brute_ideal_list), key=lambda te: te[0].dim
     )
@@ -544,10 +564,16 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         ideal = ideals_mod.Ideal(A, s, _validated=True)
         if ideal.has_absorption() != brute_force_absorption(A, s):
             mismatches.append("has_absorption mismatch")
-        b, spanned = _brute_basis_vertices(A, s)
+        elems = _elements(A, s)
+        if ideal.hereditary_vertices != frozenset(
+            i for i, sq in enumerate(literal_squares) if sq in elems
+        ):
+            mismatches.append("hereditary_vertices mismatch")
+        # The unit vectors in I span it exactly when I has p^|B| elements.
+        b = frozenset(i for i, u in enumerate(units) if u in elems)
         if ideal.basis_vertices() != b:
             mismatches.append("basis_vertices mismatch")
-        if ideal.is_spanned_by_basis_vertices() != spanned:
+        if ideal.is_spanned_by_basis_vertices() != (len(elems) == p ** len(b)):
             mismatches.append("is_spanned_by_basis_vertices mismatch")
         if s.dim < A.n:
             if ideal.is_maximal() != (s.basis in brute_max_keys):

@@ -92,6 +92,17 @@ def zero_algebra(n=3, field=QQ):
     return EvolutionAlgebra(field, [[0] * n for _ in range(n)])
 
 
+# Zero algebras, where every subspace is an ideal, past the oracle's ideal
+# search guard, as (p, n): a search would take from a minute (F5, dimension 4)
+# to days (F37, dimension 3).
+PAST_THE_IDEAL_SEARCH_GUARD = [(5, 4), (37, 3), (251, 2), (65521, 1)]
+
+
+def no_subspace_enumeration(field, n):
+    """Stands in for ``oracle.enumerate_subspaces`` where none may start."""
+    raise AssertionError(f"subspaces of F_{field.p}^{n} enumerated")
+
+
 def disjoint_pairs(k, field=QQ):
     """e_{2i+1}^2 = e_{2i+2} for i < k, other squares zero: k disjoint edges,
     with 3^k hereditary vertex sets of which 2^k are saturated."""

@@ -39,14 +39,26 @@ over F_1000003, ``verify --random`` and ``fuzz`` over F_1000003,
 ``EVOALG_MAX_ENUM=1000``; an exception that escapes a command is digested as
 its output.  The script imports the ``src`` tree next to it, so each checkout
 measures its own code.  Pytest does not collect it.
+
+To compare with a revision in one step:
+
+    python tests/output_digests.py --against REV
+
+extracts ``git archive REV src`` into a temporary directory, runs this script
+and ``helpers.py`` on that ``src`` and on the working tree's, prints each
+label whose digest differs (or that only one side has) and exits 1 if any
+does.  It writes nothing inside the repository.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -376,5 +388,49 @@ def main_digests():
     failing_suite_digests()
 
 
+def digest_listing(script):
+    """Start ``script`` with no bytecode written; its stdout is a pipe."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen(
+        [sys.executable, script], stdout=subprocess.PIPE, text=True, env=env
+    )
+
+
+def labelled(listing):
+    """{label: digest} of one listing; the digest is each line's last field."""
+    return dict(line.rpartition(" ")[::2] for line in listing.splitlines())
+
+
+def against(rev):
+    """Diff the listing of the working tree against that of ``rev``'s ``src``,
+    both made by this script; the exit code is 1 if any label differs."""
+    repo = os.path.dirname(HERE)
+    git = subprocess.run(["git", "-C", repo, "archive", rev, "src"], capture_output=True)
+    if git.returncode:
+        sys.exit(git.stderr.decode().strip())
+    with tempfile.TemporaryDirectory() as work:
+        subprocess.run(["tar", "-x", "-C", work], input=git.stdout, check=True)
+        os.mkdir(os.path.join(work, "tests"))
+        for name in ("output_digests.py", "helpers.py"):
+            shutil.copy(os.path.join(HERE, name), os.path.join(work, "tests", name))
+        runs = [
+            digest_listing(os.path.join(work, "tests", "output_digests.py")),
+            digest_listing(os.path.abspath(__file__)),
+        ]
+        old, new = (labelled(run.communicate()[0]) for run in runs)
+        if any(run.returncode for run in runs):
+            sys.exit("a digest run failed")
+    differ = [label for label in {**old, **new} if old.get(label) != new.get(label)]
+    for label in differ:
+        print(label)
+    print(f"{len(differ)} of {len(new)} outputs differ from {rev}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digest every program output.")
+    parser.add_argument("--against", metavar="REV", help="list the outputs that differ from REV")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against))
     main_digests()

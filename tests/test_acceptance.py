@@ -293,6 +293,9 @@ def test_acceptance_7_simplicity_equivalence():
         A = random_perfect_strongly_connected(spec)
         v = simplicity_verdicts(A)
         algebra_simple = not v["proper_nonzero_ideal_found"]
+        if v["method"] != "exhaustive":
+            bad.append(f"strongly connected algebra {k}: the oracle did not search ({v})")
+            break
         if algebra_simple != v["graph_simple"]:
             bad.append(f"strongly connected algebra {k}: verdicts diverge ({v})")
             break
@@ -304,6 +307,9 @@ def test_acceptance_7_simplicity_equivalence():
         A = random_with_sinks(spec, min_sinks=1)
         v = simplicity_verdicts(A)
         algebra_simple = not v["proper_nonzero_ideal_found"]
+        if v["method"] != "exhaustive":
+            bad.append(f"sink algebra {k}: the oracle did not search ({v})")
+            break
         if algebra_simple != v["graph_simple"]:
             bad.append(f"sink algebra {k}: verdicts diverge ({v})")
             break

@@ -174,6 +174,8 @@ def test_dimension_cap_and_label_validation():
         EvolutionAlgebra(QQ, [[0] * 65 for _ in range(65)])
     with pytest.raises(ValueError):
         EvolutionAlgebra(QQ, [[0, 0], [0, 0]], labels=("a", "a"))
+    with pytest.raises(ValueError, match="label count differs from dimension"):
+        EvolutionAlgebra(QQ, [[0, 0], [0, 0]], labels=("a",))
     with pytest.raises(ValueError):
         EvolutionAlgebra(QQ, [])
 

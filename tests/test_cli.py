@@ -17,16 +17,19 @@ import evoalg
 from evoalg import (
     QQ,
     EvolutionAlgebra,
+    PrimeField,
     InputError,
     algebra_from_document,
     algebra_to_document,
+    oracle,
     run_fuzz,
 )
-from evoalg.cli import main
+from evoalg.cli import main, simplicity_verdicts
 from evoalg.schemas import DOCUMENT, SCHEMAS
 
 from helpers import (
     disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle, zero_algebra,
+    PAST_THE_IDEAL_SEARCH_GUARD, no_subspace_enumeration,
 )
 
 
@@ -214,6 +217,9 @@ def test_hereditary_respects_env_limit(six_file, capsys, monkeypatch):
     monkeypatch.setenv("EVOALG_MAX_ENUM", "bogus")
     code, _, err = run_cli(capsys, "hereditary", six_file)
     assert code == 2
+    monkeypatch.setenv("EVOALG_MAX_ENUM", "0")
+    code, _, err = run_cli(capsys, "hereditary", six_file)
+    assert code == 2 and "EVOALG_MAX_ENUM must be positive" in err
     # A limit past sys.maxsize is no limit at all.
     monkeypatch.setenv("EVOALG_MAX_ENUM", "9" * 30)
     code, out, err = run_cli(capsys, "hereditary", six_file)
@@ -413,6 +419,17 @@ def test_simple_on_perfect_strongly_connected_is_decided_by_the_theorem(
     }
 
 
+@pytest.mark.parametrize("p, n", PAST_THE_IDEAL_SEARCH_GUARD)
+def test_simple_past_the_ideal_search_guard_is_decided_by_the_theorem(
+    monkeypatch, p, n
+):
+    # A proper nonzero ideal of a zero algebra exists from dimension 2 up.
+    monkeypatch.setattr(oracle, "enumerate_subspaces", no_subspace_enumeration)
+    verdicts = simplicity_verdicts(zero_algebra(n, PrimeField(p)))
+    assert verdicts["method"] == "theorem"
+    assert verdicts["proper_nonzero_ideal_found"] is (n > 1)
+
+
 def test_quotient_round_trip(perfect_file, tmp_path, capsys):
     out_path = str(tmp_path / "quotient.json")
     code, out, _ = run_cli(
@@ -425,6 +442,10 @@ def test_quotient_round_trip(perfect_file, tmp_path, capsys):
     assert quotient == three_dim_perfect().quotient_by_hereditary({1, 2})
     assert quotient.n == 1
     assert quotient.graph.edges == ((0, 0),)
+    # The empty set is hereditary and spans the zero ideal: A/0 is A.
+    code, out, err = run_cli(capsys, "quotient", perfect_file, "--set", "")
+    assert (code, err) == (0, "")
+    assert algebra_from_document(json.loads(out)) == three_dim_perfect()
 
 
 def test_quotient_rejects_non_hereditary(six_file, capsys):
@@ -600,6 +621,10 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "fuzz", "--count", "1", "--field", "abc")
     assert code == 2 and "error:" in err
+    for dim, message in (("abc", "must be N or MIN:MAX"), ("3:2", "bad dimension range")):
+        for argv in (["verify", "--random", "--dim", dim], ["fuzz", "--count", "1", "--dim", dim]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and message in err, argv
     # str.isdigit() holds for these, but int() reads none of them.
     for argv in (
         ["verify", "--random", "--field", "²"],
@@ -648,6 +673,7 @@ def test_parse_errors_exit_two(tmp_path, capsys):
         (["verify", "--random", "--density", "1.5"], "--density"),
         (["verify", "--random", "--density", "-1"], "--density"),
         (["hereditary", str(two), "--limit", "0"], "--limit"),
+        (["hereditary", str(two), "--limit", "abc"], "--limit"),
         (["fuzz", "--count", "-1"], "--count"),
         (["fuzz", "--count", "1", "--trials", "-4"], "--trials"),
         (["verify", "--random", "--trials", "-4"], "--trials"),
@@ -674,6 +700,8 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     # Output files that cannot be written: a directory, a missing directory.
     six = tmp_path / "six.json"
     six.write_text(json.dumps(algebra_to_document(six_dim_branching())))
+    code, out, err = run_cli(capsys, "quotient", str(six), "--set", "e1,e2,e3,e4,e5,e6")
+    assert code == 2 and out == "" and "zero-dimensional" in err
     missing_dir = str(tmp_path / "no-such-dir" / "x.dot")
     for argv, path in (
         (["quotient", str(six), "--set", "e6", "--out", str(tmp_path)], str(tmp_path)),
@@ -697,6 +725,34 @@ def test_label_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     )
     assert proc.returncode == 2 and proc.stdout == b""
     assert b"Traceback" not in proc.stderr and b"UTF-8" in proc.stderr
+
+
+def test_text_that_stdout_cannot_encode_is_an_input_error(tmp_path):
+    doc = tmp_path / "accent.json"
+    doc.write_text(json.dumps({"field": "Q", "dim": 2, "basis": ["\u00e9", "b"], "squares": {}}))
+    env = dict(
+        os.environ,
+        PYTHONIOENCODING="ascii",
+        PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)),
+    )
+    for command, *extra in (
+        ["analyze"], ["hereditary"], ["graph"], ["ideal", "--generators", "1,0"], ["maximal-ideals"]
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "evoalg", command, str(doc), *extra],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2 and proc.stdout == b"", command
+        assert b"Traceback" not in proc.stderr and b"ascii" in proc.stderr, command
+        assert b"--json" in proc.stderr, command
+    # The JSON form is ASCII, so the same stream takes it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "evoalg", "analyze", str(doc), "--json"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["sinks"] == ["\u00e9", "b"]
 
 
 def test_closed_stdout_pipe_leaves_no_traceback():

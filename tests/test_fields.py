@@ -67,6 +67,10 @@ def test_coerce_and_format_round_trip():
         x = field.parse(raw)
         assert field.parse(field.format(x)) == x
     assert QQ.coerce(2) == Fraction(2)
+    assert QQ.coerce("-7/2") == Fraction(-7, 2)
+    # No floating point anywhere: a float is not read as a rational.
+    with pytest.raises(InputError):
+        QQ.coerce(1.5)
     assert GF2.coerce(3) == Residue(1, 2)
     with pytest.raises(InputError):
         GF2.coerce(Fraction(1, 2))

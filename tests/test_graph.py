@@ -591,6 +591,15 @@ def test_saturated_closure_adds_feeders_until_none_is_left():
             assert g.saturated_closure(h) == frozenset(cur)
 
 
+def test_digraph_rejects_shape_mismatches():
+    with pytest.raises(ValueError, match="^negative vertex count$"):
+        Digraph(-1, [])
+    with pytest.raises(ValueError, match="^1 adjacency lists for 2 vertices$"):
+        Digraph(2, [[]])
+    with pytest.raises(ValueError, match="label count differs from vertex count"):
+        Digraph(2, [[], []], labels=("a",))
+
+
 def test_digraph_rejects_non_integer_vertices():
     for targets in ([1.0], ["1"], [None], [1, "a"]):
         with pytest.raises(ValueError, match=r"^edge 0->.+ does not end at an integer vertex$"):

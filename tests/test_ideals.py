@@ -143,6 +143,15 @@ def test_hereditary_vertices_with_empty_basis_trace():
     assert A.graph.is_saturated(ideal.hereditary_vertices)
 
 
+def test_subspace_of_another_shape_is_rejected():
+    A = three_dim_perfect()
+    for other in (rref(QQ, 2, []), rref(GF2, 3, [])):
+        with pytest.raises(ValueError, match="subspace does not match the algebra"):
+            is_ideal(A, other)
+        with pytest.raises(ValueError, match="subspace does not match the algebra"):
+            Ideal(A, other)
+
+
 def test_hereditary_from_ideal_rejects_non_ideals():
     B = six_dim_branching()
     with pytest.raises(ValueError):

@@ -38,6 +38,8 @@ def test_rref_rank_two_hand_elimination():
 def test_rref_rejects_ragged_vectors():
     with pytest.raises(ValueError):
         rref(QQ, 3, [(1, 0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="vector of length 2, expected 3"):
+        coerce_vector(QQ, (1, 0), 3)
 
 
 def test_contains_simple_cases():

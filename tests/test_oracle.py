@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from evoalg import GF2, QQ, EnumerationLimitError, PrimeField
-from evoalg import ideals
+from evoalg import GF2, QQ, EnumerationLimitError, EvolutionAlgebra, PrimeField
+from evoalg import ideals, oracle
 from evoalg.graph import Digraph
 from evoalg.ideals import Ideal, is_ideal
+from evoalg.linalg import rref
 from evoalg.oracle import (
     RandomSpec,
     brute_force_absorption,
@@ -24,7 +25,9 @@ from evoalg.oracle import (
 )
 
 from helpers import (
+    PAST_THE_IDEAL_SEARCH_GUARD,
     four_dim_all_to_third,
+    no_subspace_enumeration,
     six_dim_branching,
     three_dim_perfect,
     zero_algebra,
@@ -71,6 +74,10 @@ def test_enumeration_guard():
         list(enumerate_subspaces(GF2, 17))
     with pytest.raises(ValueError):
         list(enumerate_subspaces(QQ, 2))
+    with pytest.raises(ValueError, match="requires a prime field"):
+        brute_force_ideals(zero_algebra(2))
+    with pytest.raises(ValueError, match="brute force runs over prime fields only"):
+        certify_fast_vs_brute(three_dim_perfect())
 
 
 # -- brute-force hereditary -----------------------------------------------------
@@ -124,6 +131,16 @@ def test_brute_maximal_ideals_of_branching_example_mod_two():
 
     assert rref(GF2, 6, i1).basis in spans
     assert rref(GF2, 6, i2).basis in spans
+
+
+@pytest.mark.parametrize("p, n", PAST_THE_IDEAL_SEARCH_GUARD)
+def test_ideal_search_guard_refuses_before_enumerating(monkeypatch, p, n):
+    monkeypatch.setattr(oracle, "enumerate_subspaces", no_subspace_enumeration)
+    A = zero_algebra(n, PrimeField(p))
+    with pytest.raises(EnumerationLimitError, match="ideal search guard"):
+        brute_force_ideals(A)
+    with pytest.raises(EnumerationLimitError, match="ideal search guard"):
+        brute_force_maximal_ideals(A)
 
 
 def test_brute_absorption_examples():
@@ -276,8 +293,8 @@ def test_certification_on_small_random_algebras():
 @pytest.mark.parametrize("p, dims, count", [(3, (3, 3), 40), (5, (2, 3), 16)])
 def test_certification_over_odd_prime_fields(p, dims, count):
     # Over F2, -x = x, so the sign in the hyperplane rows e_j - (phi_j/phi_d) e_d
-    # shows only over odd p, where the oracle's tuple branch of
-    # _brute_basis_vertices runs too.  Half the algebras have two forced
+    # shows only over odd p, where the oracle's tuple unit vectors and
+    # literal products are used too.  Half the algebras have two forced
     # sinks, so the square span has codimension at least two and the report
     # enumerates a hyperplane family.
     rng = random.Random(31 * p)
@@ -351,6 +368,13 @@ _LIES = [
      "is_spanned_by_basis_vertices mismatch"),
     (Ideal, "is_maximal", lambda f: lambda self: not f(self),
      "is_maximal mismatch"),
+    (Ideal, "hereditary_vertices", lambda f: property(lambda self: frozenset()),
+     "hereditary_vertices mismatch"),
+    (EvolutionAlgebra, "square_span",
+     lambda f: property(lambda self: rref(self.field, self.n, [])),
+     "square span differs from the span of the literal products"),
+    (EvolutionAlgebra, "is_perfect", lambda f: lambda self: not f(self),
+     "is_perfect differs from the span of the literal products"),
 ]
 
 
