@@ -5,6 +5,8 @@ hereditary and saturated vertex sets, the two maps between hereditary sets and
 ideals, absorption and maximality of ideals, simplicity, and quotients, all
 over exact fields (rationals or prime fields), and certifies the fast
 algorithms against definitional brute force on small prime fields.
+The property suite (``galois``) loads on first use of one of its names, so of
+the CLI commands only ``verify`` and ``fuzz`` import it.
 """
 
 from .algebra import DIM_CAP, EvolutionAlgebra
@@ -16,14 +18,6 @@ from .documents import (
 )
 from .errors import EnumerationLimitError, InputError
 from .fields import GF2, PrimeField, QQ, Rationals, Residue, parse_scalar
-from .galois import (
-    PropertyReport,
-    PropertyResult,
-    check_adjunction,
-    check_lattice_identities,
-    run_fuzz,
-    run_theorem_suite,
-)
 from .graph import DEFAULT_ENUM_LIMIT, Digraph, associated_graph
 from .ideals import (
     Ideal,
@@ -97,3 +91,15 @@ __all__ = [
     "support",
     "unit_vector",
 ]
+
+
+def __getattr__(name):
+    """The names of ``__all__`` not bound above are ``galois``'s (PEP 562)."""
+    if name in __all__:
+        from . import galois
+        return getattr(galois, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import documents, galois, ideals, oracle
+from . import documents, ideals, oracle
 from .algebra import DIM_CAP
 from .errors import EnumerationLimitError, InputError
 from .fields import QQ, PrimeField
@@ -142,14 +142,15 @@ def _print(text):
 
 
 def _write_file(path, text):
-    """Write a command's output to a file; a path that cannot be written is
-    an input error naming it."""
+    """Write output to a file; an unwritable path is an input error naming it.
+    Once it is written, ``wrote PATH`` escapes what stdout cannot encode."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    _print(f"wrote {path}\n")
+    encoding = sys.stdout.encoding or "utf-8"
+    _print(f"wrote {path.encode(encoding, 'backslashreplace').decode(encoding)}\n")
     return 0
 
 
@@ -391,6 +392,7 @@ def _render_property_report(obj):
 
 
 def cmd_verify(args):
+    from . import galois
     if args.random:
         field = _parse_field_token(args.field)
         lo, hi = _parse_dims(args.dim)
@@ -415,6 +417,7 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
+    from . import galois
     lo, hi = _parse_dims(args.dim)
     if args.field == "mixed":
         fields = ("Q", 2, 3, 5)

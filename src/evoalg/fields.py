@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -126,8 +125,38 @@ class Residue:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Record:
+    """A value class compared and shown by its ``__init__`` parameters, stored by
+    name, as a dataclass is by its fields but without ``dataclasses``; unhashable."""
+
+    def _items(self):
+        code = getattr(type(self).__init__, "__code__", None)
+        names = code.co_varnames[1 : code.co_argcount] if code else ()
+        return tuple((name, getattr(self, name)) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._items() == other._items()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in self._items())
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A hashable record whose ``__init__`` stores its fields past ``__setattr__``."""
+
+    def __hash__(self):
+        return hash(self._items())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Rationals(FrozenRecord):
     """Descriptor for the field of rational numbers."""
 
     name = "Q"
@@ -176,18 +205,16 @@ class Rationals:
         return "QQ"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(FrozenRecord):
     """Descriptor for the prime field F_p."""
 
-    p: int
-
-    def __post_init__(self):
+    def __init__(self, p: int):
         # The bound comes first: trial division of a large prime never ends.
-        if isinstance(self.p, int) and self.p > PRIME_MODULUS_BOUND:
-            raise InputError(f"modulus {self.p} exceeds {PRIME_MODULUS_BOUND}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise InputError(f"modulus {self.p!r} is not prime")
+        if isinstance(p, int) and p > PRIME_MODULUS_BOUND:
+            raise InputError(f"modulus {p} exceeds {PRIME_MODULUS_BOUND}")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise InputError(f"modulus {p!r} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def name(self):

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, partial
 from itertools import chain, islice, product
 
 from . import oracle
 from .errors import EnumerationLimitError
+from .fields import Record
 from .graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from .ideals import (
     Ideal,
@@ -130,14 +130,10 @@ def _union_identity(span, family):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    law: str
-    checked: int = 0
-    failed: int = 0
-    not_applicable: int = 0
-    witness: dict | None = None
+class PropertyResult(Record):
+    def __init__(self, name, law, checked=0, failed=0, not_applicable=0, witness=None):
+        self.name, self.law, self.checked = name, law, checked
+        self.failed, self.not_applicable, self.witness = failed, not_applicable, witness
 
     @property
     def status(self):
@@ -171,13 +167,11 @@ class PropertyResult:
         }
 
 
-@dataclass
-class PropertyReport:
-    algebra: dict
-    seed: int
-    trials: int
-    properties: list = dc_field(default_factory=list)
-    notices: list = dc_field(default_factory=list)
+class PropertyReport(Record):
+    def __init__(self, algebra, seed, trials, properties=None, notices=None):
+        self.algebra, self.seed, self.trials = algebra, seed, trials
+        self.properties = [] if properties is None else properties
+        self.notices = [] if notices is None else notices
 
     @property
     def ok(self):
@@ -643,14 +637,12 @@ def _shown(algebra, x):
     return x
 
 
-@dataclass
-class FuzzReport:
-    count: int
-    seed: int
-    trials: int
-    properties: list = dc_field(default_factory=list)
-    failures: list = dc_field(default_factory=list)
-    notices: list = dc_field(default_factory=list)
+class FuzzReport(Record):
+    def __init__(self, count, seed, trials, properties=None, failures=None, notices=None):
+        self.count, self.seed, self.trials = count, seed, trials
+        self.properties = [] if properties is None else properties
+        self.failures = [] if failures is None else failures
+        self.notices = [] if notices is None else notices
 
     @property
     def ok(self):

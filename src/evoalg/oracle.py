@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from . import ideals as ideals_mod
 from .algebra import EvolutionAlgebra
 from .errors import EnumerationLimitError
-from .fields import PrimeField
+from .fields import FrozenRecord, PrimeField
 from .linalg import Subspace
 
 __all__ = [
@@ -339,15 +338,13 @@ def brute_force_hereditary(digraph):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(FrozenRecord):
     """Reproducible recipe for a stream of random evolution algebras."""
 
-    field: object
-    min_dim: int = 2
-    max_dim: int = 6
-    density: float = 0.6
-    seed: int = 0
+    def __init__(self, field, min_dim=2, max_dim=6, density=0.6, seed=0):
+        self.__dict__.update(
+            field=field, min_dim=min_dim, max_dim=max_dim, density=density, seed=seed
+        )
 
     def coefficient_pool(self):
         if self.field.order is None:

@@ -755,6 +755,51 @@ def test_text_that_stdout_cannot_encode_is_an_input_error(tmp_path):
     assert proc.returncode == 0 and json.loads(proc.stdout)["sinks"] == ["\u00e9", "b"]
 
 
+def test_written_file_is_reported_whatever_stdout_can_encode(tmp_path):
+    # Once the file is on disk the command has done its work: a path that
+    # stdout cannot encode is shown escaped, and the exit code is 0.
+    doc = tmp_path / "perfect.json"
+    doc.write_text(json.dumps(algebra_to_document(three_dim_perfect())))
+    src = os.path.dirname(os.path.dirname(evoalg.__file__))
+    for encoding, shown in (("ascii", b"\\xe9"), ("utf-8", "\u00e9".encode())):
+        env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=src)
+        for argv, name in (
+            (["graph", str(doc), "--dot"], "\u00e9.dot"),
+            (["quotient", str(doc), "--set", "", "--out"], "\u00e92.json"),
+        ):
+            path = tmp_path / encoding / name
+            path.parent.mkdir(exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "evoalg", *argv, str(path)], capture_output=True, env=env
+            )
+            assert (proc.returncode, proc.stderr) == (0, b""), (encoding, argv)
+            assert proc.stdout == f"wrote {path}\n".encode(encoding, "backslashreplace")
+            assert shown in proc.stdout
+            assert path.read_text(encoding="utf-8").startswith(("digraph", "{"))
+
+
+def test_cli_imports_the_property_suite_only_for_verify_and_fuzz():
+    script = """
+import sys, evoalg.cli
+print(sorted(m for m in ("evoalg.galois", "dataclasses", "inspect", "evoalg.oracle")
+             if m in sys.modules))
+import evoalg
+suite = evoalg.run_theorem_suite
+from evoalg import galois
+print(suite is galois.run_theorem_suite)
+names = {}
+exec("from evoalg import *", names)
+print(set(evoalg.__all__) <= set(names), set(evoalg.__all__) <= set(dir(evoalg)))
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    # oracle stays eager: perfbench's tracer wraps only modules already imported.
+    assert proc.stdout.splitlines() == ["['evoalg.oracle']", "True", "True True", "[]"], proc.stderr
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        evoalg.nope
+
+
 def test_closed_stdout_pipe_leaves_no_traceback():
     # The reader closes the pipe before the command writes, as `| head` does
     # when it has read enough.
@@ -867,3 +912,114 @@ def test_exit_contract_on_malformed_documents_and_argv(
     assert os.environ.get("EVOALG_MAX_ENUM") == before
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
+
+
+# A seeded fuzzer over documents and command lines.  Each document is a
+# well-formed one with a few of its parts mutated; each command line is one
+# command with its options drawn at random, then a stray token added or
+# dropped now and then.  Output paths hold only surrogates that a shell's
+# argv can carry.
+_FUZZ_FIELDS = ["Q", "Q", {"prime": 2}, {"prime": 3}, {"prime": 5}, {"prime": 7},
+                {"prime": 4}, {"prime": "5"}, {"prime": True}, {"prime": 2**61 - 1}, "F2", None]
+_FUZZ_SCALARS = ["1", "1", "-2", "1/2", "-3/4", "0", "2", "3/0", "1.5", "+3", " 1", "",
+                 "abc", "9" * 40, "7" * 5000, 1, -1, 0.5, None, True, [], {}]
+_FUZZ_LABELS = ["e1", "e2", "e3", "a", "b,c", "-a", " x", "", "é", "\udce9", "\ud800"]
+
+
+def _fuzz_document(rng):
+    n = rng.choice([1, 2, 2, 3, 3, 3])
+    labels = [f"e{i + 1}" for i in range(n)]
+    doc = {"field": rng.choice(_FUZZ_FIELDS[:6]), "dim": n}
+    if rng.random() < 0.3:
+        labels = rng.sample(_FUZZ_LABELS, n) if rng.random() < 0.8 else labels[:-1] + labels[:1]
+        doc["basis"] = labels
+    valid = _FUZZ_SCALARS[:7] if doc["field"] == "Q" else ["1", "-2", "0", "2", "3"]
+    doc["squares"] = {
+        a: {b: rng.choice(valid) for b in labels if rng.random() < 0.5}
+        for a in labels
+        if rng.random() < 0.8
+    }
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        part = rng.choice(["field", "dim", "scalar", "label", "column", "key"])
+        if part == "field":
+            doc["field"] = rng.choice(_FUZZ_FIELDS)
+        elif part == "dim":
+            doc["dim"] = rng.choice([0, -1, n + 1, 65, 10**30, "3", 2.5, True, None])
+        elif part == "scalar":
+            columns = [c for c in doc["squares"].values() if isinstance(c, dict)]
+            if columns:
+                rng.choice(columns)[rng.choice(labels + ["zz"])] = rng.choice(_FUZZ_SCALARS)
+        elif part == "label":
+            doc["squares"][rng.choice(_FUZZ_LABELS)] = {}
+        elif part == "column" and doc["squares"]:
+            doc["squares"][rng.choice(list(doc["squares"]))] = rng.choice(["1", [], None, 3])
+        elif part == "key":
+            doc[rng.choice(["extra", "basis"])] = rng.choice([["e1"], "e1", 1])
+    return doc, labels, valid
+
+
+def _fuzz_argv(rng, labels, valid):
+    def vertex_set():
+        return ",".join(rng.sample(labels + ["zz", " e1", ""], rng.randint(0, 2)))
+
+    def vector():
+        size = len(labels) + rng.choice([0, 0, 0, -1, 1])
+        pool = valid if rng.random() < 0.8 else _FUZZ_SCALARS[:13]
+        return ",".join(rng.choice(pool) for _ in range(size))
+
+    command = rng.choice(["analyze", "hereditary", "hereditary", "maximal-ideals", "simple",
+                          "quotient", "ideal", "ideal", "graph", "verify", "fuzz", "nope"])
+    argv = [command] if command == "fuzz" else [command, "DOC"]
+    if command == "hereditary":
+        modes = [[], ["--all"], ["--maximal"], ["--saturated"], ["--maximal", "--saturated"]]
+        argv += rng.choice(modes)
+        if rng.random() < 0.5:
+            argv += ["--limit", rng.choice(["1", "2", "3", "0", "-1", "abc", "9" * 19])]
+    elif command == "maximal-ideals":
+        argv += ["--hyperplane-limit", rng.choice(["0", "1", "3", "-1", "x"])]
+    elif command == "quotient":
+        argv += ["--set", vertex_set()]
+        if rng.random() < 0.5:
+            argv += ["--out", rng.choice(["q.json", "é.json", "\udce9.json", ".", "no/q.json"])]
+    elif command == "ideal":
+        argv += ["--generators", ";".join(vector() for _ in range(rng.randint(1, 2)))]
+    elif command == "graph" and rng.random() < 0.5:
+        argv += ["--dot", rng.choice(["g.dot", "é.dot", "\udce9.dot", ".", "no/g.dot"])]
+    elif command == "verify":
+        if rng.random() < 0.3:
+            argv[1:] = ["--random", "--field", rng.choice(["Q", "2", "3", "4", "x"])]
+            argv += ["--dim", rng.choice(["1:2", "2", "3:2", "x", "65"])]
+        argv += ["--trials", rng.choice(["0", "1"]), "--seed", str(rng.randint(0, 9))]
+    elif command == "fuzz":
+        argv += ["--count", rng.choice(["0", "1", "-1"]), "--dim", rng.choice(["1:2", "2", "0"])]
+        argv += ["--trials", "1", "--field", rng.choice(["mixed", "Q", "2", "3", "4", "x"])]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.1:
+        stray = rng.choice(["--set", "--limit", "-a", "x", "--json", "-h"])
+        argv.insert(rng.randint(0, len(argv)), stray)
+    if rng.random() < 0.05 and len(argv) > 1:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_seeded_cli_fuzz_keeps_the_exit_contract(tmp_path, monkeypatch):
+    rng = random.Random(20231)
+    monkeypatch.chdir(tmp_path)  # --out and --dot write here
+    doc_path = str(tmp_path / "doc.json")
+    for k in range(1000):
+        doc, labels, valid = _fuzz_document(rng)
+        with open(doc_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        argv = [doc_path if t == "DOC" else t for t in _fuzz_argv(rng, labels, valid)]
+        monkeypatch.delenv("EVOALG_MAX_ENUM", raising=False)
+        if rng.random() < 0.1:
+            monkeypatch.setenv("EVOALG_MAX_ENUM", rng.choice(["1", "2", "0", "abc"]))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:  # the contract: none leaves main
+                pytest.fail(f"run {k}: {argv} raised {exc!r} on {doc!r}")
+        assert code in (0, 1, 2), (k, argv, doc)
+        assert "Traceback" not in stderr.getvalue(), (k, argv, doc)

@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from evoalg import GF2, InputError, PrimeField, QQ, Residue, parse_scalar
+from evoalg import (
+    GF2,
+    InputError,
+    PrimeField,
+    PropertyReport,
+    PropertyResult,
+    QQ,
+    RandomSpec,
+    Rationals,
+    Residue,
+    parse_scalar,
+)
+from evoalg.fields import PRIME_MODULUS_BOUND
+from evoalg.galois import FuzzReport
 
 
 def test_parse_rational_reduces():
@@ -39,6 +52,53 @@ def test_bad_modulus(p):
 
 def test_large_prime_modulus_allowed():
     PrimeField(2147483647)
+
+
+def test_modulus_bound_is_checked_before_primality():
+    with pytest.raises(InputError, match="is not prime"):
+        PrimeField(4)
+    # Both are composite, so a primality test run first would say "not prime".
+    for p in (PRIME_MODULUS_BOUND + 1, 2**40):
+        with pytest.raises(InputError, match="exceeds"):
+            PrimeField(p)
+
+
+def test_value_classes_keep_their_equality_hash_and_repr():
+    assert QQ == Rationals() and hash(QQ) == hash(Rationals())
+    assert PrimeField(5) == PrimeField(5) and hash(PrimeField(5)) == hash(PrimeField(5))
+    assert PrimeField(5) != PrimeField(7) and QQ != GF2 and PrimeField(2) != 2
+    spec = RandomSpec(field=QQ)
+    assert spec == RandomSpec(QQ, 2, 6, 0.6, 0) and hash(spec) == hash(RandomSpec(QQ))
+    assert spec != RandomSpec(QQ, seed=1)
+    assert [repr(x) for x in (QQ, GF2, spec)] == [
+        "QQ",
+        "PrimeField(2)",
+        "RandomSpec(field=QQ, min_dim=2, max_dim=6, density=0.6, seed=0)",
+    ]
+    result = PropertyResult("law_a", "x = y")
+    assert repr(result) == (
+        "PropertyResult(name='law_a', law='x = y', checked=0, failed=0, "
+        "not_applicable=0, witness=None)"
+    )
+    assert result == PropertyResult(name="law_a", law="x = y")
+    assert result != PropertyResult("law_a", "x = y", checked=1)
+    assert repr(PropertyReport({}, 1, 2)) == (
+        "PropertyReport(algebra={}, seed=1, trials=2, properties=[], notices=[])"
+    )
+    assert repr(FuzzReport(3, 1, 2)) == (
+        "FuzzReport(count=3, seed=1, trials=2, properties=[], failures=[], notices=[])"
+    )
+    # Each report gets its own default lists.
+    assert PropertyReport({}, 1, 2).notices is not PropertyReport({}, 1, 2).notices
+    for frozen in (QQ, PrimeField(5), spec):
+        with pytest.raises(AttributeError):
+            frozen.p = 3
+        with pytest.raises(AttributeError):
+            del frozen.p
+    assert PrimeField(5).p == 5 and spec.seed == 0
+    for mutable in (result, PropertyReport({}, 1, 2), FuzzReport(3, 1, 2)):
+        with pytest.raises(TypeError):
+            hash(mutable)
 
 
 def test_residue_arithmetic():
