@@ -59,6 +59,11 @@ class EvolutionAlgebra:
         """The unit rows, built once and shared by every caller."""
         return tuple(linalg.unit_vector(self.field, self.n, i) for i in range(self.n))
 
+    @cached_property
+    def _int_squares(self):
+        """The squares as ``linalg`` holds rows: ints in [0, p) over F_p."""
+        return linalg._kernel_rows(self.field, self.squares)
+
     def zero_vector(self):
         return tuple(self.field.zero for _ in range(self.n))
 
@@ -82,7 +87,7 @@ class EvolutionAlgebra:
     def square_span(self):
         """Span of all basis squares; this is the product A·A of the algebra
         with itself, and its dimension is the rank of the structure matrix."""
-        return linalg.rref(self.field, self.n, self.squares)
+        return linalg.rref(self.field, self.n, self._int_squares)
 
     def is_perfect(self):
         """True when the squares span everything (invertible structure

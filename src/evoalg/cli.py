@@ -149,6 +149,8 @@ def _write_file(path, text):
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a null byte or a lone surrogate
+        raise InputError(f"cannot write {ascii(path)}: {exc}") from None
     encoding = sys.stdout.encoding or "utf-8"
     _print(f"wrote {path.encode(encoding, 'backslashreplace').decode(encoding)}\n")
     return 0

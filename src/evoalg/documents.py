@@ -119,14 +119,18 @@ def dumps_document(algebra) -> str:
 def load_algebra(path) -> EvolutionAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 ({exc})") from exc
+    except ValueError as exc:  # a null byte or a lone surrogate in the path
+        raise InputError(f"{ascii(path)}: cannot read ({exc})") from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except ValueError as exc:
         # JSONDecodeError, or a number literal past the int-str digit limit.
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise InputError(f"{path}: not valid JSON (nested too deeply)") from None
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
     return algebra_from_document(doc)

@@ -47,7 +47,7 @@ def is_ideal(algebra, subspace):
     if subspace.ambient_dim != algebra.n or subspace.field != algebra.field:
         raise ValueError("subspace does not match the algebra")
     return all(
-        subspace.contains(algebra.squares[i]) for i in _column_support(subspace.basis)
+        subspace.contains(algebra._int_squares[i]) for i in _column_support(subspace._ints())
     )
 
 
@@ -89,11 +89,8 @@ class Ideal:
     @cached_property
     def hereditary_vertices(self):
         """Indices whose square lies in the ideal; always hereditary."""
-        return frozenset(
-            i
-            for i in range(self.algebra.n)
-            if self.subspace.contains(self.algebra.squares[i])
-        )
+        squares = self.algebra._int_squares
+        return frozenset(i for i, sq in enumerate(squares) if self.subspace.contains(sq))
 
     def basis_vertices(self):
         """Indices whose unit vector lies in the ideal; a subset of
@@ -105,8 +102,7 @@ class Ideal:
         zero, so that row must be zero after it.
         """
         s = self.subspace
-        rows = s.basis if s.field.order is None else s._ints()
-        return frozenset(c for row, c in zip(rows, s.pivots) if not any(row[c + 1 :]))
+        return frozenset(c for row, c in zip(s._ints(), s.pivots) if not any(row[c + 1 :]))
 
     def has_absorption(self):
         """True when the ideal equals the span of its hereditary vertices.
@@ -199,7 +195,7 @@ def ideal_closure(algebra, generators) -> Ideal:
     n = algebra.n
     gens = [linalg.coerce_vector(algebra.field, v, n) for v in generators]
     tree = algebra.graph.tree(_column_support(gens))
-    squares = [algebra.squares[j] for j in sorted(tree)]
+    squares = [algebra._int_squares[j] for j in sorted(tree)]
     return Ideal(algebra, rref(algebra.field, n, gens + squares), _validated=True)
 
 
@@ -231,8 +227,7 @@ def _hyperplanes_over_square_span(algebra):
     (φ_j = 0 for j > d, so no row has an entry before its pivot)."""
     A = algebra
     n, p = A.n, A.field.order
-    functionals = linalg.nullspace(A.field, n, A.square_span.basis)
-    functionals = [[x.value for x in fn] for fn in functionals]
+    functionals = linalg._kernel_rows(A.field, linalg.nullspace(A.field, n, A.square_span._ints()))
     out = []
     # Nonzero combinations whose first nonzero coefficient is one, in
     # lexicographic order: one functional per hyperplane.

@@ -6,12 +6,12 @@ elsewhere.  Consequently two subspaces are equal exactly when their basis
 matrices are equal entry-wise, which turns every set identity downstream into
 a plain ``==``.
 
-Elimination over F_p runs on plain ints in [0, p): each input row is coerced
+Over F_p a subspace is held as int rows in [0, p): each input row is coerced
 once, rows are combined with ``(a - f * b) % p`` and pivots inverted with
-``pow(x, -1, p)``, and the surviving rows are wrapped in :class:`Residue` once,
-when the subspace is built.  A subspace over F_p keeps an int copy of its
-basis, which ``reduce`` and ``contains`` eliminate against.  Over Q the same
-loop runs on ``Fraction`` entries.
+``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and hashing
+all run on those int rows; the :class:`Residue` rows of ``basis`` are built
+only when it is first read.  Over Q the same loop runs on the ``Fraction``
+basis itself.
 """
 
 from __future__ import annotations
@@ -56,12 +56,19 @@ def _coerce_row(field, vec, n):
         row = [field.coerce(x) for x in vec]
     else:
         row = [
-            x.value if type(x) is Residue and x.p == p else field.coerce(x).value
+            x % p if type(x) is int
+            else x.value if type(x) is Residue and x.p == p
+            else field.coerce(x).value
             for x in vec
         ]
     if len(row) != n:
         raise ValueError(f"vector of length {len(row)}, expected {n}")
     return row
+
+
+def _kernel_rows(field, rows):
+    """Field-element rows as the kernel holds them: ints over F_p, as is over Q."""
+    return rows if field.order is None else tuple(tuple(x.value for x in r) for r in rows)
 
 
 def _eliminate(rows, ncols, p):
@@ -102,14 +109,14 @@ def rref(field, ambient_dim, vectors):
     Idempotent: applying it to the basis of the result returns an identical
     basis.  Raises ``ValueError`` for ragged input.
     """
-    p = field.order
-    rows = [_coerce_row(field, v, ambient_dim) for v in vectors]
-    pivots = tuple(_eliminate(rows, ambient_dim, p))
+    return _span(field, ambient_dim, [_coerce_row(field, v, ambient_dim) for v in vectors])
+
+
+def _span(field, n, rows):
+    """``rref`` of rows already coerced, eliminated in place."""
+    pivots = tuple(_eliminate(rows, n, field.order))
     rows = tuple(tuple(row) for row in rows[: len(pivots)])
-    if p is None:
-        return Subspace(field, ambient_dim, rows, pivots)
-    basis = tuple(tuple(Residue(x, p) for x in row) for row in rows)
-    s = Subspace(field, ambient_dim, basis, pivots)
+    s = Subspace(field, n, rows if field.order is None else None, pivots)
     s._int_rows = rows
     return s
 
@@ -124,33 +131,40 @@ class Subspace:
     directly.  The constructor trusts its arguments.  Immutable and hashable.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_int_rows")
+    __slots__ = ("field", "ambient_dim", "pivots", "_basis", "_int_rows")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
         self.pivots = pivots
+        self._basis = basis
         self._int_rows = None
 
+    @property
+    def basis(self):
+        """The basis rows; over F_p ``Residue`` rows built when first read."""
+        if self._basis is None:
+            self._basis = tuple(tuple(map(self.field.from_int, row)) for row in self._int_rows)
+        return self._basis
+
     def _ints(self):
-        """The basis over F_p as int rows in [0, p); ``rref`` hands them
-        over, a directly built subspace derives them once."""
+        """The int rows in [0, p) over F_p, the basis over Q; ``rref`` hands
+        them over, a directly built subspace derives them once."""
         if self._int_rows is None:
-            self._int_rows = tuple(tuple(x.value for x in row) for row in self.basis)
+            self._int_rows = _kernel_rows(self.field, self._basis)
         return self._int_rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def is_zero(self):
-        return not self.basis
+        return not self.pivots
 
     @property
     def is_full(self):
-        return len(self.basis) == self.ambient_dim
+        return len(self.pivots) == self.ambient_dim
 
     def reduce(self, vec):
         """Residual of ``vec`` after elimination against the basis."""
@@ -163,7 +177,7 @@ class Subspace:
         [0, p) over F_p."""
         p = self.field.order
         w = _coerce_row(self.field, vec, self.ambient_dim)
-        for row, c in zip(self.basis if p is None else self._ints(), self.pivots):
+        for row, c in zip(self._ints(), self.pivots):
             f = w[c]
             if f:
                 if p is None:
@@ -180,27 +194,27 @@ class Subspace:
 
     def contains_subspace(self, other):
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains(row) for row in other._ints())
 
     def sum(self, other):
         self._check_compatible(other)
-        return rref(self.field, self.ambient_dim, self.basis + other.basis)
+        return _span(self.field, self.ambient_dim, [list(r) for r in self._ints() + other._ints()])
 
     def intersect(self, other):
         """Intersection.  Reduction is linear, so x = sum(a_i u_i) lies in
-        ``other`` exactly when sum(a_i r_i) = 0 for r_i = ``other.reduce(u_i)``;
+        ``other`` exactly when sum(a_i r_i) = 0 for r_i the residual of u_i;
         residuals vanish on the t pivot columns of ``other``, so the a are the
         nullspace of the other n - t coordinates, in s unknowns."""
         self._check_compatible(other)
-        if not self.basis or not other.basis:
+        if not self.pivots or not other.pivots:
             return zero_subspace(self.field, self.ambient_dim)
         pivots = set(other.pivots)
-        residuals = zip(*(other.reduce(u) for u in self.basis))
+        residuals = zip(*(other._residual(u) for u in self._ints()))
         eqs = [col for k, col in enumerate(residuals) if k not in pivots]
         vecs = []
-        for combo in nullspace(self.field, len(self.basis), eqs):
-            acc = [self.field.zero] * self.ambient_dim
-            for coef, row in zip(combo, self.basis):
+        for combo in _kernel_rows(self.field, nullspace(self.field, self.dim, eqs)):
+            acc = [0] * self.ambient_dim
+            for coef, row in zip(combo, self._ints()):
                 if coef:
                     acc = [a + coef * b for a, b in zip(acc, row)]
             vecs.append(acc)
@@ -216,11 +230,11 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._ints() == other._ints()
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field, self.ambient_dim, self._ints()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

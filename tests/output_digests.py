@@ -17,12 +17,13 @@ and their hereditary sets and hereditary saturated sets, each set's members
 sorted, in list order, with up to 20 vertices, plus
 the linear-algebra results (ideal closures with their pivots, hereditary and
 basis vertices, absorption and maximality criterion; the errors for ragged and
-unparseable generators; ``maximal_ideals_report``; intersections of random
-subspace pairs) of seeded random algebras over Q, F2, F3, F5 and F7, a third
-of them with forced sinks, plus ``run_theorem_suite`` reports at
-``enum_limit`` 20 and 100 on ``disjoint_pairs(4..6)`` and
-``zero_algebra(8..12)``, whose hereditary families pass those limits, plus
-``run_theorem_suite`` reports at the default limit on the example algebras,
+unparseable generators; ``maximal_ideals_report``; intersections, sums,
+containments and equality of random subspace pairs) of seeded random
+algebras over Q, F2, F3, F5 and F7, a third of them with forced sinks, plus
+``run_theorem_suite`` reports at ``enum_limit`` 20 and 100 on
+``disjoint_pairs(4..6)`` and ``zero_algebra(8..12)``, whose hereditary
+families pass those limits, plus ``run_theorem_suite`` reports at the
+default limit on the example algebras,
 on seeded random algebras over Q, F2, F3 and F5 with n 2 to 8, and on
 ``zero_algebra(9..12)``, whose hereditary pairs pass the sampling cap, plus
 the suite reports on the example algebras under each broken building block of
@@ -230,16 +231,23 @@ def linalg_digests(count=300):
                 ideal_closure(A, bad)
             except Exception as exc:  # the type and text are the output
                 errors.append((type(exc).__name__, str(exc)))
-        meets = []
+        meets, pairs = [], []
         for _ in range(6):
             U = rref(field, n, vectors(rng.randint(0, n)))
             W = rref(field, n, vectors(rng.randint(0, n)))
             meets.append((U.intersect(W).basis, W.intersect(U).pivots))
+            pairs.append((
+                U.sum(W).basis,
+                U.contains_subspace(W),
+                W.contains_subspace(U.intersect(W)),
+                U == W,
+            ))
         for label, value in (
             ("closures", closures),
             ("errors", errors),
             ("maximal_ideals_report", json.dumps(maximal_ideals_report(A), sort_keys=True)),
             ("intersections", meets),
+            ("sums_and_containment", pairs),
         ):
             print("linalg", k, token, f"n={n}", label, digest(value))
 

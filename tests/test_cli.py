@@ -778,6 +778,25 @@ def test_written_file_is_reported_whatever_stdout_can_encode(tmp_path):
             assert path.read_text(encoding="utf-8").startswith(("digraph", "{"))
 
 
+@pytest.mark.parametrize("name", ["a\x00b", "\ud800"], ids=["null_byte", "lone_surrogate"])
+def test_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, name):
+    # No file system takes these names, so open() raises ValueError (a
+    # UnicodeEncodeError for the surrogate) before any OSError could.
+    doc = tmp_path / "perfect.json"
+    doc.write_text(json.dumps(algebra_to_document(three_dim_perfect())))
+    shown = ascii(str(tmp_path / name))[1:-1]
+    for argv, suffix in (
+        (["graph", str(doc), "--dot"], ".dot"),
+        (["quotient", str(doc), "--set", "", "--out"], ".json"),
+    ):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / name) + suffix)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot write '{shown}{suffix}': "), err
+    code, out, err = run_cli(capsys, "analyze", str(tmp_path / name) + ".json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: '{shown}.json': cannot read (") and "JSON" not in err
+
+
 def test_cli_imports_the_property_suite_only_for_verify_and_fuzz():
     script = """
 import sys, evoalg.cli

@@ -97,6 +97,27 @@ def test_vertex_span_of_hereditary_sets():
     assert ideal_from_hereditary(B, {1, 2, 3, 4, 5}).dim == 5
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, PrimeField(5)], ids=["Q", "F2", "F5"])
+def test_vertex_spans_and_closures_deduplicate_as_dict_keys(field):
+    # The property suite keys dicts by Subspace and mixes vertex spans, built
+    # directly from unit rows, with closures, built by elimination: an equal
+    # pair must hash alike whichever way each was built.
+    algebras = [
+        six_dim_branching(field),
+        three_dim_perfect(field),
+        four_dim_degenerate_funnel(field),
+        zero_algebra(3, field),
+    ]
+    for A in algebras:
+        for h in A.graph.hereditary_sets():
+            span = ideal_from_hereditary(A, h).subspace
+            closure = ideal_closure(A, [A.unit(i) for i in h]).subspace
+            assert span == closure and closure == span, (A, h)
+            assert hash(span) == hash(closure), (A, h)
+            assert {span: h}[closure] == h and {closure: h}[span] == h
+            assert len({span, closure}) == 1
+
+
 def test_vertex_span_requires_hereditary():
     with pytest.raises(ValueError):
         ideal_from_hereditary(six_dim_branching(), {0})

@@ -213,9 +213,10 @@ def _reference_intersect(field, n, u, w):
 
 @st.composite
 def _fp_rows(draw, p, n):
-    """Rows of raw ints, scalar strings and residues; half the time drawn
-    as combinations of fewer generators, so the rank falls short."""
-    entry = st.integers(-2 * p, 2 * p)
+    """Rows of raw ints (negative, or past p), scalar strings, residues and
+    bools; half the time drawn as combinations of fewer generators, so the
+    rank falls short."""
+    entry = st.one_of(st.integers(-2 * p, 2 * p), st.integers(-(2**70), 2**70))
     k = draw(st.integers(0, 6))
     if draw(st.booleans()):
         gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
@@ -227,8 +228,8 @@ def _fp_rows(draw, p, n):
         ]
     else:
         rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
-    kinds = draw(st.lists(st.sampled_from(("int", "str", "residue")), min_size=n, max_size=n))
-    cast = {"int": lambda x: x, "str": str, "residue": lambda x: Residue(x, p)}
+    kinds = draw(st.lists(st.sampled_from(("int", "str", "residue", "bool")), min_size=n, max_size=n))
+    cast = {"int": lambda x: x, "str": str, "residue": lambda x: Residue(x, p), "bool": lambda x: x % 2 == 1}
     return [[cast[kind](x) for kind, x in zip(kinds, row)] for row in rows]
 
 
@@ -251,9 +252,59 @@ def test_mod_p_kernel_matches_residue_loop(data):
             assert sub.reduce(vec) == residual
             assert sub.contains(vec) == (not any(residual))
     assert nullspace(F, n, rows) == _reference_nullspace(F, n, rows)
-    other = rref(F, n, data.draw(_fp_rows(p, n)))
+    other_rows = data.draw(_fp_rows(p, n))
+    other_basis, other_pivots = _reference_rref(F, n, other_rows)
+    # Each subspace is checked before its basis is first read, so a hash or
+    # an equality that looks at the Residue rows only once built shows.
+    other = rref(F, n, other_rows)
+    _same_across_origins(other, other_basis, other_pivots)
     meet = s.intersect(other)
-    assert (meet.basis, meet.pivots) == _reference_intersect(F, n, s.basis, other.basis)
+    _same_across_origins(meet, *_reference_intersect(F, n, basis, other_basis))
+    total = s.sum(other)
+    _same_across_origins(total, *_reference_rref(F, n, basis + other_basis))
+    _same_across_origins(rref(F, n, rows), basis, pivots)
+    _same_across_origins(direct, basis, pivots)
+    for big, small in ((s, other), (other, s), (s, meet), (other, meet), (total, s), (meet, total)):
+        expected = all(
+            not any(_reference_reduce(F, n, big.basis, big.pivots, row)) for row in small.basis
+        )
+        assert big.contains_subspace(small) == expected
+    assert s.contains_subspace(meet) and total.contains_subspace(other)
+
+
+def _same_across_origins(built, basis, pivots):
+    """``built`` equals, hashes like and finds as a dict key the subspace
+    built directly from the reference basis, whose ``Residue`` rows it then
+    hands out, as one object on every read."""
+    F, n = built.field, built.ambient_dim
+    direct = Subspace(F, n, basis, pivots)
+    assert built == direct and direct == built and not built != direct
+    assert hash(built) == hash(direct)
+    assert {direct: pivots}[built] == pivots and {built: pivots}[direct] == pivots
+    assert built.pivots == pivots and built.dim == len(pivots)
+    assert built.basis == basis and built.basis is built.basis
+    p = F.order
+    assert all(
+        type(x) is Residue and x.p == p if p else type(x) is Fraction
+        for row in built.basis
+        for x in row
+    )
+    # A different subspace of the same space is not equal.
+    if pivots:
+        assert built != Subspace(F, n, basis[1:], pivots[1:])
+
+
+def test_rational_subspaces_agree_across_origins():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        u, w = ([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))] for _ in range(2))
+        ub, _ = _reference_rref(QQ, n, u)
+        wb, _ = _reference_rref(QQ, n, w)
+        s, t = rref(QQ, n, u), rref(QQ, n, w)
+        _same_across_origins(s, *_reference_rref(QQ, n, u))
+        _same_across_origins(s.sum(t), *_reference_rref(QQ, n, ub + wb))
+        _same_across_origins(s.intersect(t), *_reference_intersect(QQ, n, ub, wb))
 
 
 def test_mod_p_kernel_rejects_a_foreign_modulus():
