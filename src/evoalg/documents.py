@@ -9,8 +9,8 @@ A document is UTF-8 JSON with exactly these keys:
   basis label to a scalar string, giving the coordinates of that basis
   vector's square.  Absent entries are zero; absent columns are zero squares.
 
-Unknown keys are rejected, scalar strings must parse in the declared field,
-and scalars serialise back as exact strings.
+Unknown and repeated keys are rejected, scalar strings must parse in the
+declared field, and scalars serialise back as exact strings.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ __all__ = [
 ]
 
 _ALLOWED_KEYS = {"field", "dim", "basis", "squares"}
+
+
+def _object_without_repeated_keys(pairs):
+    """A JSON object as a dict; a key given twice in it is an input error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def parse_field_descriptor(obj):
@@ -127,7 +137,9 @@ def load_algebra(path) -> EvolutionAlgebra:
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeated_keys)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except ValueError as exc:
         # JSONDecodeError, or a number literal past the int-str digit limit.
         raise InputError(f"{path}: not valid JSON ({exc})") from exc

@@ -3,18 +3,19 @@
 Everything here is ground truth for certifying the fast algorithms, so none of
 it reuses their code paths: products are recomputed from the structure
 constants on raw integer vectors (bitmasks over F_2), membership is a lookup
-in an explicitly materialised element set, hereditary sets are swept over all
-2^n subsets with per-vertex reachability (which also gives trees, simplicity
-and source components), saturation is read off the squares, idealness and
-absorption quantify literally over all p^n vectors with early exit on the
-first violation, and maximality is pairwise inclusion over the complete ideal
-list.
+in an explicitly materialised element set, the graph is read off the squares
+(i -> j when coordinate j of e_i^2 is nonzero) and nothing from ``graph`` is
+imported, hereditary sets are swept over all 2^n subsets with per-vertex
+reachability (which also gives trees, simplicity and source components),
+saturation is read off the squares, idealness and absorption quantify
+literally over all p^n vectors with early exit on the first violation, and
+maximality is pairwise inclusion over the proper ideals of the complete list.
 
 Three guards bound the work, each checked before any of it is done and each
 raising ``EnumerationLimitError``: ``SUBSPACE_GUARD`` caps the p^n vectors of
 a subspace enumeration, ``IDEAL_SEARCH_GUARD`` caps the products that
 ``brute_force_ideals`` can evaluate, and ``HEREDITARY_GUARD`` caps the n of the
-2^n subsets that ``brute_force_hereditary`` sweeps.
+2^n subsets that ``brute_force_hereditary`` and ``certify_fast_vs_brute`` sweep.
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ def _span_tuples(int_rows, p, n):
     return elems
 
 
+def _span(p, n, rows):
+    """The element set of the span of raw rows: bitmasks over F_2, else tuples."""
+    return _span_masks(rows) if p == 2 else _span_tuples(rows, p, n)
+
+
 def _raw_rows(p, subspace):
     """Basis rows as integer tuples, or as bitmasks over F_2."""
     rows = _subspace_int_rows(subspace)
@@ -163,9 +169,7 @@ def _raw_rows(p, subspace):
 def _elements(algebra, subspace):
     """The materialised element set, in the raw form of ``_raw_rows``."""
     p = algebra.field.p
-    if p == 2:
-        return _span_masks(_raw_rows(2, subspace))
-    return _span_tuples(_raw_rows(p, subspace), p, algebra.n)
+    return _span(p, algebra.n, _raw_rows(p, subspace))
 
 
 def _sq_xor_table(square_masks, n):
@@ -277,60 +281,53 @@ def brute_force_maximal_ideals(algebra, ideals=None):
     """Maximal proper ideals by pairwise inclusion over the complete list."""
     if ideals is None:
         ideals = brute_force_ideals(algebra)
-    p, n = algebra.field.p, algebra.n
-    data = [(s, _elements(algebra, s)) for s in ideals]
-    rows = [_raw_rows(p, s) for s in ideals]
+    p = algebra.field.p
+    proper = [(s, _elements(algebra, s)) for s in ideals if s.dim < algebra.n]
     out = []
-    for i, (s, _) in enumerate(data):
-        if s.dim == n:
-            continue
-        strictly_below_proper = False
-        for j, (t, t_elems) in enumerate(data):
-            if t.dim >= n or t.dim <= s.dim:
-                continue
-            if all(r in t_elems for r in rows[i]):
-                strictly_below_proper = True
-                break
-        if not strictly_below_proper:
+    for s, _ in proper:
+        rows = _raw_rows(p, s)
+        if not any(t.dim > s.dim and all(r in elems for r in rows) for t, elems in proper):
             out.append(s)
     return out
 
 
-def _reach_sets(digraph):
-    """Per vertex, the set of vertices a depth-first search from it visits."""
-    reach = []
-    for v in range(digraph.n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in digraph.out[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(frozenset(seen))
-    return reach
+def _members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def brute_force_hereditary(digraph):
-    """Hereditary sets by testing the tree condition on all 2^n subsets."""
-    n = digraph.n
+def _reach_and_cover(out):
+    """Per vertex of the adjacency lists ``out``, the set a depth-first search
+    from it visits, and ``cover[mask]``, the vertex mask that the subset
+    ``mask`` reaches, over all 2^n subsets; refused past ``HEREDITARY_GUARD``
+    vertices before any of it is done."""
+    n = len(out)
     if n > HEREDITARY_GUARD:
         raise EnumerationLimitError(
             f"2^{n} subsets exceed the brute-force hereditary guard"
         )
-    reach = [sum(1 << u for u in seen) for seen in _reach_sets(digraph)]
-    out = []
-    for mask in range(1 << n):
-        union = 0
-        m = mask
-        while m:
-            low = m & -m
-            union |= reach[low.bit_length() - 1]
-            m ^= low
-        if union | mask == mask:
-            out.append(frozenset(i for i in range(n) if mask >> i & 1))
-    return out
+    reach = []
+    for v in range(n):
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in out[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(frozenset(seen))
+    reach_bits = [sum(1 << u for u in r) for r in reach]
+    cover = [0]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        cover.append(cover[mask ^ low] | reach_bits[low.bit_length() - 1])
+    return reach, cover
+
+
+def brute_force_hereditary(digraph):
+    """Hereditary sets by testing the tree condition on all 2^n subsets."""
+    _, cover = _reach_and_cover(digraph.out)
+    return [_members(m) for m, c in enumerate(cover) if c == m]
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +442,21 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     algebra's (field, dim); ``max_compare`` caps how many non-ideal subspaces
     get the point-wise is_ideal comparison, while idealness is still decided
     brute-force on every subspace so that maximality stays ground truth.
-    The hereditary sets, their saturated members and the maximal ones are
-    each compared with a brute-force family, and the tree of every vertex,
-    the simplicity of the graph and its source components (the classes of
-    mutual reachability that no outside vertex reaches, by smallest vertex)
-    with per-vertex searches.  The min generating vertex set must have the
-    least size of the 2^n subsets whose searches reach every vertex, and
-    its witness must be that large and reach every vertex.
+    The reference graph is read off the squares, i -> j when coordinate j of
+    e_i^2 is nonzero, and the edge list of ``A.graph`` must equal it; one
+    reachability table and one sweep of the 2^n subsets serve every
+    graph-side check.  The hereditary sets, their saturated members and the
+    maximal ones are each compared with a brute-force family, and the tree
+    of every vertex, the simplicity of the graph and its source components
+    (the classes of mutual reachability that no outside vertex reaches, by
+    smallest vertex) with per-vertex searches.  The min generating vertex
+    set must have the least size of the 2^n subsets whose searches reach
+    every vertex, and its witness must be that large and reach every
+    vertex.  For each hereditary H, ``ideal_from_hereditary`` must have the
+    element set of the span of the unit vectors of H, ``saturated_closure``
+    must be the least saturated hereditary superset of H, and, for proper H,
+    ``quotient_by_hereditary`` must have as squares and labels the literal
+    e_j e_j and labels outside H, with the coordinates in H deleted.
     The span of the n^2 literal products e_i e_j must have the element set of
     ``square_span``, and ``is_perfect`` must hold exactly when it has p^n
     elements; every brute-force ideal I must have as ``hereditary_vertices``
@@ -462,31 +467,29 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
     ideals.  ``find_proper_nonzero_ideal`` must return None exactly when no
     brute-force ideal is proper and nonzero, and one of them otherwise.
     """
-    from . import graph as graph_mod
-
     A = algebra
+    squares = _squares_int(A)
     mismatches = []
     g = A.graph
+    # The graph read off the squares: i -> j when coordinate j of e_i^2 is nonzero.
+    out = [[j for j, x in enumerate(row) if x] for row in squares]
+    if list(g.edges) != [(i, j) for i, targets in enumerate(out) for j in targets]:
+        mismatches.append("graph edges differ from the nonzero coordinates of the squares")
+    reach, cover = _reach_and_cover(out)
 
-    fast_hered = g.hereditary_sets()
-    brute_hered = sorted(brute_force_hereditary(g), key=graph_mod.vertex_set_mask)
-    if fast_hered != brute_hered:
+    brute_hered = [_members(m) for m, c in enumerate(cover) if c == m]
+    if g.hereditary_sets() != brute_hered:
         mismatches.append("hereditary enumeration differs from brute force")
-    squares = _squares_int(A)
     brute_sat = [h for h in brute_hered if _saturated_by_squares(squares, h)]
     if g.hereditary_saturated_sets() != brute_sat:
         mismatches.append("hereditary saturated sets differ from brute force")
 
     full = frozenset(range(A.n))
     proper = [h for h in brute_hered if h != full]
-    maxima = sorted(
-        (h for h in proper if not any(h < h2 for h2 in proper)),
-        key=graph_mod.vertex_set_mask,
-    )
+    maxima = [h for h in proper if not any(h < h2 for h2 in proper)]
     if maxima != list(g.maximal_hereditary_sets()):
         mismatches.append("maximal hereditary sets differ from brute maxima")
 
-    reach = _reach_sets(g)
     if [g.tree({v}) for v in range(A.n)] != reach:
         mismatches.append("trees differ from per-vertex searches")
     if g.is_simple() != all(r == full for r in reach):
@@ -498,11 +501,6 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
             sources.append(comp)
     if list(g.source_components()) != sources:
         mismatches.append("source components differ from per-vertex searches")
-    reach_bits = [sum(1 << u for u in r) for r in reach]
-    cover = [0]  # cover[mask]: the vertices the subset ``mask`` reaches
-    for mask in range(1, 1 << A.n):
-        low = mask & -mask
-        cover.append(cover[mask ^ low] | reach_bits[low.bit_length() - 1])
     everything = (1 << A.n) - 1
     least = min(bin(m).count("1") for m, c in enumerate(cover) if c == everything)
     size, witness = g.min_generating_vertex_set()
@@ -516,16 +514,42 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         units = [1 << i for i in range(A.n)]
         table = _f2_view(A).table
         products = [table[x & y] for x in units for y in units]
-        literal_span = _span_masks(products)
     else:
         units = [tuple(int(j == i) for j in range(A.n)) for i in range(A.n)]
         products = [_prod_tuple(squares, x, y, p, A.n) for x in units for y in units]
-        literal_span = _span_tuples(products, p, A.n)
+    literal_span = _span(p, A.n, products)
     literal_squares = products[:: A.n + 1]
     if literal_span != _elements(A, A.square_span):
         mismatches.append("square span differs from the span of the literal products")
     if A.is_perfect() != (len(literal_span) == p**A.n):
         mismatches.append("is_perfect differs from the span of the literal products")
+
+    # The three maps the CLI prints for each hereditary set H: its vertex span,
+    # its saturated closure, and the quotient by it, whose squares are the
+    # literal e_j e_j outside H with the coordinates in H deleted.  Saturated
+    # hereditary sets are closed under intersection, so the least one holding
+    # H is the smallest.
+    square_rows = literal_squares
+    if p == 2:
+        square_rows = [[sq >> k & 1 for k in range(A.n)] for sq in literal_squares]
+    for h in brute_hered:
+        try:
+            span = ideals_mod.ideal_from_hereditary(A, h).subspace
+            closure = g.saturated_closure(h)
+            quotient = A.quotient_by_hereditary(h) if h != full else None
+        except ValueError:  # the fast graph holds an edge that leaves h
+            mismatches.append("a hereditary set is refused by the maps built on it")
+            continue
+        if _elements(A, span) != _span(p, A.n, [units[i] for i in h]):
+            mismatches.append("ideal_from_hereditary differs from the unit-vector span")
+        if closure != min((t for t in brute_sat if h <= t), key=len):
+            mismatches.append("saturated_closure differs from the least saturated superset")
+        if quotient is not None:
+            keep = [j for j in range(A.n) if j not in h]
+            literal = [tuple(square_rows[j][k] for k in keep) for j in keep]
+            labels = tuple(A.labels[j] for j in keep)
+            if (_squares_int(quotient), quotient.labels) != (literal, labels):
+                mismatches.append("quotient_by_hereditary differs from the literal squares")
 
     if subspaces is None:
         subspaces = list(enumerate_subspaces(A.field, A.n))

@@ -98,6 +98,17 @@ def zero_algebra(n=3, field=QQ):
 PAST_THE_IDEAL_SEARCH_GUARD = [(5, 4), (37, 3), (251, 2), (65521, 1)]
 
 
+# Algebra documents that give one key twice, at the top level, in ``squares``
+# and in a column, as {id: (text, repeated key)}.
+REPEATED_KEY_DOCUMENTS = {
+    "top-level-key": ('{"field": "Q", "dim": 2, "dim": 3, "squares": {}}', "dim"),
+    "squares-label": (
+        '{"field": "Q", "dim": 3, "squares": {"e1": {"e2": "1"}, "e1": {"e3": "5"}}}', "e1"
+    ),
+    "column-label": ('{"field": "Q", "dim": 2, "squares": {"e1": {"e2": "1", "e2": "3"}}}', "e2"),
+}
+
+
 def no_subspace_enumeration(field, n):
     """Stands in for ``oracle.enumerate_subspaces`` where none may start."""
     raise AssertionError(f"subspaces of F_{field.p}^{n} enumerated")

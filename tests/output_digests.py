@@ -14,7 +14,11 @@ through ``cli.main`` with and without ``--json``, on the example algebras of
 DAG, source components, maximal hereditary sets, trees, saturated closures,
 sources and simplicity) of seeded random ``Digraph``s with up to 64 vertices
 and their hereditary sets and hereditary saturated sets, each set's members
-sorted, in list order, with up to 20 vertices, plus
+sorted, in list order, with up to 20 vertices, plus the oracle's own
+results (the ``certify_fast_vs_brute`` result and the
+``brute_force_maximal_ideals`` bases of seeded algebras over F2, F3 with n
+up to 4 and F5 with n up to 3, and ``brute_force_hereditary`` on those
+random digraphs with up to 12 vertices), plus
 the linear-algebra results (ideal closures with their pivots, hereditary and
 basis vertices, absorption and maximality criterion; the errors for ragged and
 unparseable generators; ``maximal_ideals_report``; intersections, sums,
@@ -32,9 +36,9 @@ also together), patched in for the run and restored after it, so that failing
 counts and witnesses are compared too, plus ``run_fuzz(count=8)`` reports
 under the same patches, plus the published ``SCHEMAS`` under ``json.dumps``,
 plus ``hereditary`` and ``verify`` at limits at and past ``sys.maxsize``,
-``fuzz`` under ``EVOALG_MAX_ENUM`` and ``analyze`` on basis entries that are
-not strings, plus ``verify`` (text and ``--json``) on a 3-dimensional document
-over F_1000003, ``verify --random`` and ``fuzz`` over F_1000003,
+``fuzz`` under ``EVOALG_MAX_ENUM``, ``analyze`` on basis entries that are
+not strings and on ``helpers.REPEATED_KEY_DOCUMENTS``, plus ``verify`` (text
+and ``--json``) on a 3-dimensional document over F_1000003, ``verify --random`` and ``fuzz`` over F_1000003,
 ``maximal-ideals --json`` over F_1021 with codimension two, and
 ``hereditary --saturated`` and ``verify`` on ``zero_algebra(16)`` under
 ``EVOALG_MAX_ENUM=1000``; an exception that escapes a command is digested as
@@ -73,7 +77,14 @@ from evoalg.cli import main  # noqa: E402
 from evoalg.galois import run_fuzz, run_theorem_suite  # noqa: E402
 from evoalg.ideals import ideal_closure, maximal_ideals_report  # noqa: E402
 from evoalg.linalg import rref  # noqa: E402
-from evoalg.oracle import RandomSpec, random_algebra, random_with_sinks  # noqa: E402
+from evoalg.oracle import (  # noqa: E402
+    RandomSpec,
+    brute_force_hereditary,
+    brute_force_maximal_ideals,
+    certify_fast_vs_brute,
+    random_algebra,
+    random_with_sinks,
+)
 from evoalg.schemas import SCHEMAS  # noqa: E402
 
 EXAMPLES = (
@@ -190,6 +201,28 @@ def graph_digests():
     for k, g in enumerate(random_digraphs(max_n=20)):
         print("graph", k, f"n={g.n}", "hereditary_sets", digest(sets(g.hereditary_sets())))
         print("graph", k, f"n={g.n}", "hereditary_saturated_sets", digest(sets(g.hereditary_saturated_sets())))
+
+
+def oracle_digests():
+    """The oracle's own results: the ``certify_fast_vs_brute`` result and the
+    ``brute_force_maximal_ideals`` bases of seeded algebras over F2 and F3
+    with n 2 to 4 and over F5 with n 2 to 3, a third of them with forced
+    sinks, and ``brute_force_hereditary`` on the random digraphs with up to
+    12 vertices."""
+    for p, max_dim, count in ((2, 4, 12), (3, 4, 8), (5, 3, 6)):
+        for k in range(count):
+            spec = RandomSpec(
+                field=PrimeField(p), min_dim=2, max_dim=max_dim, density=0.3 + 0.2 * (k % 4), seed=k
+            )
+            A = random_with_sinks(spec) if k % 3 == 2 else random_algebra(spec)
+            label = ("oracle", f"F{p}", k, f"n={A.n}")
+            result = json.dumps(certify_fast_vs_brute(A), sort_keys=True)
+            print(*label, "certify_fast_vs_brute", digest(result))
+            maximal = [s.basis for s in brute_force_maximal_ideals(A)]
+            print(*label, "brute_force_maximal_ideals", digest(maximal))
+    for k, g in enumerate(random_digraphs(max_n=12)):
+        family = [sorted(h) for h in brute_force_hereditary(g)]
+        print("oracle graph", k, f"n={g.n}", "brute_force_hereditary", digest(family))
 
 
 def linalg_digests(count=300):
@@ -310,8 +343,8 @@ def failing_suite_digests():
 
 
 def limit_and_basis_digests(work):
-    """Limits at and past sys.maxsize, EVOALG_MAX_ENUM under ``fuzz``, and
-    basis entries that are not strings."""
+    """Limits at and past sys.maxsize, EVOALG_MAX_ENUM under ``fuzz``, basis
+    entries that are not strings, and documents that repeat a key."""
     path = os.path.join(work, "six.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(algebra_to_document(helpers.six_dim_branching()), fh)
@@ -328,6 +361,11 @@ def limit_and_basis_digests(work):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"field": "Q", "dim": 2, "basis": [entry, "b"], "squares": {}}, fh)
         print("basis entry", label, run(["analyze", path]))
+    for label, (text, _) in helpers.REPEATED_KEY_DOCUMENTS.items():
+        # A path relative to ``work``, the working directory: the error names it.
+        with open("repeated.json", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print("repeated key", label, run(["analyze", "repeated.json"]))
 
 
 def large_field_and_saturated_limit_digests(work):
@@ -391,6 +429,7 @@ def main_digests():
     print("run_fuzz(200)", digest(json.dumps(run_fuzz(200).to_json(), sort_keys=True)))
     print("schemas", hashlib.sha256(json.dumps(SCHEMAS).encode()).hexdigest())
     graph_digests()
+    oracle_digests()
     linalg_digests()
     suite_digests()
     failing_suite_digests()

@@ -29,7 +29,7 @@ from evoalg.schemas import DOCUMENT, SCHEMAS
 
 from helpers import (
     disjoint_pairs, six_dim_branching, three_dim_perfect, mirror_pair, two_cycle, zero_algebra,
-    PAST_THE_IDEAL_SEARCH_GUARD, no_subspace_enumeration,
+    PAST_THE_IDEAL_SEARCH_GUARD, REPEATED_KEY_DOCUMENTS, no_subspace_enumeration,
 )
 
 
@@ -135,6 +135,18 @@ def test_document_rejects_integer_scalars(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert (code, out) == (2, "")
     assert err == "error: scalar for 'e1' -> 'e1' must be a string, got 5\n"
+
+
+@pytest.mark.parametrize(
+    "text, key", REPEATED_KEY_DOCUMENTS.values(), ids=REPEATED_KEY_DOCUMENTS.keys()
+)
+def test_document_rejects_repeated_keys(tmp_path, capsys, text, key):
+    # json.loads keeps the last of two equal keys, so a repeat would be lost.
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: repeated key {key!r}\n"
 
 # -- commands --------------------------------------------------------------------
 

@@ -1,9 +1,10 @@
+import ast
 import random
 
 import pytest
 
 from evoalg import GF2, QQ, EnumerationLimitError, EvolutionAlgebra, PrimeField
-from evoalg import ideals, oracle
+from evoalg import graph, ideals, oracle
 from evoalg.graph import Digraph
 from evoalg.ideals import Ideal, is_ideal
 from evoalg.linalg import rref
@@ -334,48 +335,110 @@ def _no_maximal_ideals(f):
     return report
 
 
-# Each lie: the owner and name of a fast function the harness compares, how
-# to break it, and the mismatch the harness must then report.
-_LIES = [
-    (Digraph, "hereditary_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
-     "hereditary enumeration differs from brute force"),
-    (Digraph, "hereditary_saturated_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
-     "hereditary saturated sets differ from brute force"),
-    (Digraph, "maximal_hereditary_sets", lambda f: lambda self: list(f(self))[:-1],
-     "maximal hereditary sets differ from brute maxima"),
-    (Digraph, "tree", lambda f: lambda self, vertices: frozenset(vertices),
-     "trees differ from per-vertex searches"),
-    (Digraph, "is_simple", lambda f: lambda self: not f(self),
-     "graph simplicity differs from per-vertex searches"),
-    (Digraph, "source_components", lambda f: lambda self: list(f(self))[:-1],
-     "source components differ from per-vertex searches"),
-    (Digraph, "min_generating_vertex_set", lambda f: lambda self: (0, frozenset()),
-     "min generating vertex set differs from the subset sweep"),
-    (ideals, "is_ideal", lambda f: lambda algebra, s: not f(algebra, s),
-     "is_ideal mismatch at subspace 0"),
-    (ideals, "ideal_closure",
-     lambda f: lambda algebra, gens: f(algebra, list(gens) + [algebra.unit(0)]),
-     "ideal_closure mismatch at subspace 0"),
-    (ideals, "find_proper_nonzero_ideal", lambda f: lambda algebra: None,
-     "find_proper_nonzero_ideal disagrees with brute force"),
-    (ideals, "maximal_ideals_report", _no_maximal_ideals,
-     "maximal_ideals_report is complete but lists other ideals"),
-    (Ideal, "has_absorption", lambda f: lambda self: not f(self),
-     "has_absorption mismatch"),
-    (Ideal, "basis_vertices", lambda f: lambda self: frozenset(),
-     "basis_vertices mismatch"),
-    (Ideal, "is_spanned_by_basis_vertices", lambda f: lambda self: not f(self),
-     "is_spanned_by_basis_vertices mismatch"),
-    (Ideal, "is_maximal", lambda f: lambda self: not f(self),
-     "is_maximal mismatch"),
-    (Ideal, "hereditary_vertices", lambda f: property(lambda self: frozenset()),
-     "hereditary_vertices mismatch"),
-    (EvolutionAlgebra, "square_span",
-     lambda f: property(lambda self: rref(self.field, self.n, [])),
-     "square span differs from the span of the literal products"),
-    (EvolutionAlgebra, "is_perfect", lambda f: lambda self: not f(self),
-     "is_perfect differs from the span of the literal products"),
-]
+def _edited_graph(edit):
+    """An ``associated_graph`` whose out-list of each vertex i is
+    ``edit(i, targets)``."""
+
+    def breaker(f):
+        def associated_graph(algebra):
+            g = f(algebra)
+            return Digraph(g.n, [edit(i, t) for i, t in enumerate(g.out)], g.labels)
+
+        return associated_graph
+
+    return breaker
+
+
+def _transposed(algebra):
+    return EvolutionAlgebra(algebra.field, list(zip(*algebra.squares)), algebra.labels)
+
+
+_DROP_LAST_OUT_EDGE = _edited_graph(lambda i, targets: targets[:-1])
+
+# Each lie, by test id: the owner and name of a fast function the harness
+# compares, how to break it, and the mismatch the harness must then report.
+_LIES = {
+    "hereditary_sets": (
+        Digraph, "hereditary_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
+        "hereditary enumeration differs from brute force"),
+    "hereditary_saturated_sets": (
+        Digraph, "hereditary_saturated_sets", lambda f: lambda self, *a: f(self, *a)[:-1],
+        "hereditary saturated sets differ from brute force"),
+    "maximal_hereditary_sets": (
+        Digraph, "maximal_hereditary_sets", lambda f: lambda self: list(f(self))[:-1],
+        "maximal hereditary sets differ from brute maxima"),
+    "tree": (
+        Digraph, "tree", lambda f: lambda self, vertices: frozenset(vertices),
+        "trees differ from per-vertex searches"),
+    "is_simple": (
+        Digraph, "is_simple", lambda f: lambda self: not f(self),
+        "graph simplicity differs from per-vertex searches"),
+    "source_components": (
+        Digraph, "source_components", lambda f: lambda self: list(f(self))[:-1],
+        "source components differ from per-vertex searches"),
+    "min_generating_vertex_set": (
+        Digraph, "min_generating_vertex_set", lambda f: lambda self: (0, frozenset()),
+        "min generating vertex set differs from the subset sweep"),
+    "saturated_closure": (
+        Digraph, "saturated_closure", lambda f: lambda self, vertices: frozenset(range(self.n)),
+        "saturated_closure differs from the least saturated superset"),
+    "associated_graph-trees": (
+        graph, "associated_graph", _DROP_LAST_OUT_EDGE,
+        "trees differ from per-vertex searches"),
+    "associated_graph-edges": (
+        graph, "associated_graph", _DROP_LAST_OUT_EDGE,
+        "graph edges differ from the nonzero coordinates of the squares"),
+    "associated_graph-loops": (
+        graph, "associated_graph",
+        _edited_graph(lambda i, targets: [j for j in targets if j != i]),
+        "graph edges differ from the nonzero coordinates of the squares"),
+    "associated_graph-edges-to-e1": (
+        graph, "associated_graph", _edited_graph(lambda i, targets: [0, *targets]),
+        "a hereditary set is refused by the maps built on it"),
+    "is_ideal": (
+        ideals, "is_ideal", lambda f: lambda algebra, s: not f(algebra, s),
+        "is_ideal mismatch at subspace 0"),
+    "ideal_closure": (
+        ideals, "ideal_closure",
+        lambda f: lambda algebra, gens: f(algebra, list(gens) + [algebra.unit(0)]),
+        "ideal_closure mismatch at subspace 0"),
+    "ideal_from_hereditary": (
+        ideals, "ideal_from_hereditary",
+        lambda f: lambda algebra, h: f(algebra, range(algebra.n) if len(h) == 1 else h),
+        "ideal_from_hereditary differs from the unit-vector span"),
+    "find_proper_nonzero_ideal": (
+        ideals, "find_proper_nonzero_ideal", lambda f: lambda algebra: None,
+        "find_proper_nonzero_ideal disagrees with brute force"),
+    "maximal_ideals_report": (
+        ideals, "maximal_ideals_report", _no_maximal_ideals,
+        "maximal_ideals_report is complete but lists other ideals"),
+    "has_absorption": (
+        Ideal, "has_absorption", lambda f: lambda self: not f(self),
+        "has_absorption mismatch"),
+    "basis_vertices": (
+        Ideal, "basis_vertices", lambda f: lambda self: frozenset(),
+        "basis_vertices mismatch"),
+    "is_spanned_by_basis_vertices": (
+        Ideal, "is_spanned_by_basis_vertices", lambda f: lambda self: not f(self),
+        "is_spanned_by_basis_vertices mismatch"),
+    "is_maximal": (
+        Ideal, "is_maximal", lambda f: lambda self: not f(self),
+        "is_maximal mismatch"),
+    "hereditary_vertices": (
+        Ideal, "hereditary_vertices", lambda f: property(lambda self: frozenset()),
+        "hereditary_vertices mismatch"),
+    "square_span": (
+        EvolutionAlgebra, "square_span",
+        lambda f: property(lambda self: rref(self.field, self.n, [])),
+        "square span differs from the span of the literal products"),
+    "is_perfect": (
+        EvolutionAlgebra, "is_perfect", lambda f: lambda self: not f(self),
+        "is_perfect differs from the span of the literal products"),
+    "quotient_by_hereditary": (
+        EvolutionAlgebra, "quotient_by_hereditary",
+        lambda f: lambda self, h: _transposed(f(self, h)),
+        "quotient_by_hereditary differs from the literal squares"),
+}
 
 
 # Both certify clean, have a proper nonzero ideal and a vertex outside a tree,
@@ -392,9 +455,7 @@ def test_certification_examples_are_clean():
         assert certify_fast_vs_brute(example())["mismatches"] == []
 
 
-@pytest.mark.parametrize(
-    "owner, name, breaker, message", _LIES, ids=[lie[1] for lie in _LIES]
-)
+@pytest.mark.parametrize("owner, name, breaker, message", _LIES.values(), ids=_LIES.keys())
 @pytest.mark.parametrize("example", _HONEST.values(), ids=_HONEST.keys())
 def test_certification_catches_each_lie(
     monkeypatch, example, owner, name, breaker, message
@@ -402,3 +463,20 @@ def test_certification_catches_each_lie(
     A = example()
     monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
     assert message in certify_fast_vs_brute(A)["mismatches"]
+
+
+def test_oracle_imports_no_fast_graph_code():
+    # The reference side reads its graph off the squares: code imported
+    # from ``evoalg.graph`` would stand on both sides of its comparisons.
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:  # relative to the evoalg package
+                module = "evoalg" + (f".{module}" if module else "")
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert [n for n in names if n == "evoalg.graph" or n.startswith("evoalg.graph.")] == []
