@@ -27,7 +27,8 @@ hereditary pairs, the pairs are drawn by position and decoded, so no list of
 all pairs is built.  One run walks the hereditary family once and
 reads the saturated sets off it, sharing the sets, and builds each derived
 value once: the vertex span of a hereditary set, the absorbing ideals and the
-maximal ideals.
+maximal ideals.  A meet of ideals that lies in one of them is that ideal's
+own subspace, so its vertex set is read from that ideal, not recomputed.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ def check_adjunction(algebra, hereditary, ideal: Ideal, restricted=False):
     """One instance of the adjunction law: span(H) inside I iff H inside H_I.
 
     In restricted mode the hereditary set must be saturated and the ideal must
-    absorb; there the law must always hold on non-degenerate algebras.
+    absorb; there the law must always hold on non-degenerate algebras.  The
+    ideal must be one of ``algebra``.
     """
+    _own(algebra, ideal)
     g = algebra.graph
     h = frozenset(hereditary)
     if not g.is_hereditary(h):
@@ -86,13 +89,20 @@ def _adjoint(span, hereditary, ideal):
     return left == (hereditary <= ideal.hereditary_vertices)
 
 
+def _own(algebra, ideal):
+    """``ideal``, refused with ``ValueError`` unless it is an ideal of ``algebra``."""
+    if ideal.algebra is not algebra and ideal.algebra != algebra:
+        raise ValueError("the ideal belongs to another algebra")
+    return ideal
+
+
 def check_lattice_identities(algebra, hereditary_families=(), ideal_families=()):
     """Verify the two family identities.
 
     For each family of hereditary sets whose union is hereditary: the span of
     the union equals the sum of the spans.  For each family of ideals: the
     hereditary set of the intersection equals the intersection of the
-    hereditary sets.
+    hereditary sets.  Raises ``ValueError`` for an ideal of another algebra.
     """
     for family in hereditary_families:
         family = [frozenset(h) for h in family]
@@ -102,7 +112,7 @@ def check_lattice_identities(algebra, hereditary_families=(), ideal_families=())
         if not _union_identity(partial(ideal_from_hereditary, algebra), family):
             return False
     for family in ideal_families:
-        family = list(family)
+        family = [_own(algebra, ideal) for ideal in family]
         if not family:
             continue
         meet = family[0].subspace
@@ -110,7 +120,10 @@ def check_lattice_identities(algebra, hereditary_families=(), ideal_families=())
         for ideal in family[1:]:
             meet = meet.intersect(ideal.subspace)
             expected &= ideal.hereditary_vertices
-        meet_ideal = Ideal(algebra, meet, _validated=True)
+        # A meet its operands decide is one of them, with its vertex set cached.
+        meet_ideal = next((i for i in family if i.subspace is meet), None)
+        if meet_ideal is None:
+            meet_ideal = Ideal(algebra, meet, _validated=True)
         if meet_ideal.hereditary_vertices != expected:
             return False
     return True

@@ -197,24 +197,31 @@ class Subspace:
         return all(self.contains(row) for row in other._ints())
 
     def sum(self, other):
+        """Span of both bases; a zero operand returns the other as is."""
         self._check_compatible(other)
+        if self.is_zero or other.is_zero:
+            return self if other.is_zero else other
         return _span(self.field, self.ambient_dim, [list(r) for r in self._ints() + other._ints()])
 
     def intersect(self, other):
-        """Intersection.  Reduction is linear, so x = sum(a_i u_i) lies in
-        ``other`` exactly when sum(a_i r_i) = 0 for r_i the residual of u_i;
-        residuals vanish on the t pivot columns of ``other``, so the a are the
-        nullspace of the other n - t coordinates, in s unknowns."""
+        """Intersection, from the residuals of the rows u_i of the operand U
+        of lower dimension (``self`` on a tie) against the other, W.  If all
+        vanish, U lies inside W and is returned as is.  Otherwise reduction
+        is linear, so x = sum(a_i u_i) lies in W exactly when sum(a_i r_i) = 0
+        for r_i the residual of u_i; residuals vanish on the t pivot columns
+        of W, so the a are the nullspace of the other n - t coordinates, in
+        dim U unknowns."""
         self._check_compatible(other)
-        if not self.pivots or not other.pivots:
-            return zero_subspace(self.field, self.ambient_dim)
-        pivots = set(other.pivots)
-        residuals = zip(*(other._residual(u) for u in self._ints()))
-        eqs = [col for k, col in enumerate(residuals) if k not in pivots]
+        u, w = (self, other) if self.dim <= other.dim else (other, self)
+        residuals = [w._residual(row) for row in u._ints()]
+        if not any(map(any, residuals)):
+            return u
+        pivots = set(w.pivots)
+        eqs = [col for k, col in enumerate(zip(*residuals)) if k not in pivots]
         vecs = []
-        for combo in _kernel_rows(self.field, nullspace(self.field, self.dim, eqs)):
+        for combo in _kernel_rows(self.field, nullspace(self.field, u.dim, eqs)):
             acc = [0] * self.ambient_dim
-            for coef, row in zip(combo, self._ints()):
+            for coef, row in zip(combo, u._ints()):
                 if coef:
                     acc = [a + coef * b for a, b in zip(acc, row)]
             vecs.append(acc)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, algebra_to_document
-from evoalg import galois
+from evoalg import galois, linalg
 from evoalg.cli import main
 from evoalg.graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from evoalg.galois import (
@@ -99,6 +99,39 @@ def test_lattice_identities_rejects_non_hereditary_union():
     A = six_dim_branching()
     with pytest.raises(ValueError):
         check_lattice_identities(A, hereditary_families=[[frozenset({0})]])
+
+
+def test_laws_refuse_an_ideal_of_another_algebra():
+    # e1^2 = e2, e2^2 = e3, e3^2 = 0 against the zero algebra of the same
+    # size: span(e1) is an ideal of the second only, and answering about the
+    # first gave a spurious law failure.
+    A = EvolutionAlgebra(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    foreign = ideal_from_hereditary(zero_algebra(3), {0})
+    with pytest.raises(ValueError, match="another algebra"):
+        check_lattice_identities(A, ideal_families=[(foreign,)])
+    with pytest.raises(ValueError, match="another algebra"):
+        check_lattice_identities(A, ideal_families=[(ideal_from_hereditary(A, {2}), foreign)])
+    with pytest.raises(ValueError, match="another algebra"):
+        check_adjunction(A, frozenset(), foreign)
+    # An equal algebra built separately is the same algebra.
+    twin = EvolutionAlgebra(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    own = ideal_from_hereditary(twin, {1, 2})
+    assert check_lattice_identities(A, ideal_families=[(own, ideal_from_hereditary(A, {2}))])
+    assert check_adjunction(A, frozenset({2}), own)
+
+
+def test_suite_meets_decided_by_their_operands_skip_the_elimination(monkeypatch):
+    # Most suite meets have one operand inside the other, which is returned
+    # with no nullspace solved; the report stays as it was.
+    calls = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda *args: calls.append(args) or nullspace(*args))
+    report = run_theorem_suite(six_dim_branching(), trials=5, seed=0).to_json()
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f39fbdd1559a0092ae30626ebc341fd6a88b7c20e0d86ba8758e28c9c8c2dbc3"
+    )
+    assert len(calls) <= 150  # 346 when every meet is eliminated
 
 
 def test_suite_on_perfect_example():

@@ -259,9 +259,17 @@ def test_mod_p_kernel_matches_residue_loop(data):
     other = rref(F, n, other_rows)
     _same_across_origins(other, other_basis, other_pivots)
     meet = s.intersect(other)
-    _same_across_origins(meet, *_reference_intersect(F, n, basis, other_basis))
+    meet_ref = _reference_intersect(F, n, basis, other_basis)
+    _same_across_origins(meet, *meet_ref)
     total = s.sum(other)
-    _same_across_origins(total, *_reference_rref(F, n, basis + other_basis))
+    total_ref = _reference_rref(F, n, basis + other_basis)
+    _same_across_origins(total, *total_ref)
+    _same_when_decided(s, basis, [
+        (s, basis, total, total_ref[0]),
+        (s, basis, s, basis),
+        (meet, meet_ref[0], s, basis),
+        (meet, meet_ref[0], other, other_basis),
+    ])
     _same_across_origins(rref(F, n, rows), basis, pivots)
     _same_across_origins(direct, basis, pivots)
     for big, small in ((s, other), (other, s), (s, meet), (other, meet), (total, s), (meet, total)):
@@ -294,6 +302,24 @@ def _same_across_origins(built, basis, pivots):
         assert built != Subspace(F, n, basis[1:], pivots[1:])
 
 
+def _same_when_decided(s, basis, nested):
+    """Meets of nested operands, given as (U, its basis, W, its basis) with U
+    inside W, and the meet and join of ``s`` with the zero subspace, in both
+    argument orders: each returns an operand as is (the smaller one, or the
+    first when they are equal) and agrees with the reference."""
+    F, n = s.field, s.ambient_dim
+    zero = rref(F, n, [])
+    for u, ub, w, wb in nested + [(zero, (), s, basis)]:
+        for x, xb, y, yb in ((u, ub, w, wb), (w, wb, u, ub)):
+            meet = x.intersect(y)
+            assert meet is (u if u.dim < w.dim else x)
+            _same_across_origins(meet, *_reference_intersect(F, n, xb, yb))
+    for x, xb, y, yb in ((zero, (), s, basis), (s, basis, zero, ())):
+        total = x.sum(y)
+        assert total is (x if s.is_zero else s)
+        _same_across_origins(total, *_reference_rref(F, n, xb + yb))
+
+
 def test_rational_subspaces_agree_across_origins():
     rng = random.Random(5)
     for _ in range(100):
@@ -303,8 +329,16 @@ def test_rational_subspaces_agree_across_origins():
         wb, _ = _reference_rref(QQ, n, w)
         s, t = rref(QQ, n, u), rref(QQ, n, w)
         _same_across_origins(s, *_reference_rref(QQ, n, u))
-        _same_across_origins(s.sum(t), *_reference_rref(QQ, n, ub + wb))
-        _same_across_origins(s.intersect(t), *_reference_intersect(QQ, n, ub, wb))
+        total, meet = s.sum(t), s.intersect(t)
+        total_ref, meet_ref = _reference_rref(QQ, n, ub + wb), _reference_intersect(QQ, n, ub, wb)
+        _same_across_origins(total, *total_ref)
+        _same_across_origins(meet, *meet_ref)
+        _same_when_decided(s, ub, [
+            (s, ub, total, total_ref[0]),
+            (s, ub, s, ub),
+            (meet, meet_ref[0], s, ub),
+            (meet, meet_ref[0], t, wb),
+        ])
 
 
 def test_mod_p_kernel_rejects_a_foreign_modulus():
