@@ -138,11 +138,15 @@ class Digraph:
 
     def tree(self, vertices):
         """All vertices reachable from the set, the set itself included."""
+        return _mask_to_frozenset(self._tree_mask(vertices))
+
+    def _tree_mask(self, vertices):
+        """``tree`` as a vertex mask."""
         reach = self._reach_masks
         m = 0
         for v in self._check_vertices(vertices):
             m |= reach[v]
-        return _mask_to_frozenset(m)
+        return m
 
     def is_hereditary(self, vertices):
         vs = self._check_vertices(vertices)

@@ -188,15 +188,23 @@ def ideal_closure(algebra, generators) -> Ideal:
     Since ``e_j x = x_j e_j^2``, an ideal holding x holds the square of
     every index in supp(x), and then of every index in the support of those
     squares: the squares over the whole tree T of the generators' support.
-    Their span together with the generators is supported inside T, so it is
-    already the ideal.  The support of span(X) is the union of the supports
-    in X, so one elimination of X and those squares gives its basis.
+    Their span S_T together with the generators is supported inside T, so
+    span(X) + S_T is already the ideal.  The support of span(X) is the union
+    of the supports in X.  S_T depends on T alone, and the algebra keeps one
+    per tree (``square_span`` is the one of all vertices): when S_T is the
+    whole space it is the ideal, and otherwise one elimination of its reduced
+    rows with the generators, each coerced once, gives the basis.
     """
-    n = algebra.n
-    gens = [linalg.coerce_vector(algebra.field, v, n) for v in generators]
-    tree = algebra.graph.tree(_column_support(gens))
-    squares = [algebra._int_squares[j] for j in sorted(tree)]
-    return Ideal(algebra, rref(algebra.field, n, gens + squares), _validated=True)
+    field, n = algebra.field, algebra.n
+    gens = [linalg._coerce_row(field, v, n) for v in generators]
+    tree = algebra.graph._tree_mask(_column_support(gens))
+    squares = algebra._squares_span(tree)
+    if squares is None:  # past the memo's bound: the raw squares of T
+        rows = [sq for j, sq in enumerate(algebra._int_squares) if tree >> j & 1]
+        return Ideal(algebra, rref(field, n, gens + rows), _validated=True)
+    if not squares.is_full:
+        squares = linalg._span(field, n, [*squares._ints(), *gens])
+    return Ideal(algebra, squares, _validated=True)
 
 
 def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:

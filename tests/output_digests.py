@@ -20,7 +20,8 @@ results (the ``certify_fast_vs_brute`` result and the
 up to 4 and F5 with n up to 3, and ``brute_force_hereditary`` on those
 random digraphs with up to 12 vertices), plus
 the linear-algebra results (ideal closures with their pivots, hereditary and
-basis vertices, absorption and maximality criterion; the errors for ragged and
+basis vertices, absorption and maximality criterion, then the same closures
+again in reverse order on the same algebra; the errors for ragged and
 unparseable generators; ``maximal_ideals_report``; intersections, sums,
 containments and equality of random subspace pairs) of seeded random
 algebras over Q, F2, F3, F5 and F7, a third of them with forced sinks, plus
@@ -247,17 +248,22 @@ def linalg_digests(count=300):
         def vectors(count):
             return [[rng.choice(pool) for _ in range(n)] for _ in range(count)]
 
-        closures = []
-        for _ in range(4):
-            ideal = ideal_closure(A, vectors(rng.randint(0, 3)))
-            closures.append((
+        def closure(generators):
+            ideal = ideal_closure(A, generators)
+            return (
                 ideal.subspace.basis,
                 ideal.subspace.pivots,
                 sorted(ideal.hereditary_vertices),
                 sorted(ideal.basis_vertices()),
                 ideal.has_absorption(),
                 ideal.maximality_criterion() if ideal.is_proper else None,
-            ))
+            )
+
+        generator_sets = [vectors(rng.randint(0, 3)) for _ in range(4)]
+        closures = [closure(gens) for gens in generator_sets]
+        # The same closures again, in reverse order, once the algebra has met
+        # their trees.
+        closures_again = [closure(gens) for gens in reversed(generator_sets)]
         errors = []
         for bad in ([[1] * (n + 1)], [["x"] * n], [[0] * n, [1] * (n + 2)], [["1/0"] * n]):
             try:
@@ -277,6 +283,7 @@ def linalg_digests(count=300):
             ))
         for label, value in (
             ("closures", closures),
+            ("closures_again", closures_again),
             ("errors", errors),
             ("maximal_ideals_report", json.dumps(maximal_ideals_report(A), sort_keys=True)),
             ("intersections", meets),

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, nullspace, rref
+from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, linalg, nullspace, rref
 from evoalg.ideals import (
     CRITERION_HYPERPLANE,
     CRITERION_MAX_HEREDITARY,
@@ -16,7 +16,13 @@ from evoalg.ideals import (
     maximal_ideal_cover_check,
     maximal_ideals_report,
 )
-from evoalg.oracle import RandomSpec, random_perfect_algebra
+from evoalg.oracle import (
+    RandomSpec,
+    certify_fast_vs_brute,
+    random_algebra,
+    random_perfect_algebra,
+    random_with_sinks,
+)
 
 from helpers import (
     double_loop_pair,
@@ -473,6 +479,100 @@ def test_two_ideals_with_equal_hereditary_vertices():
     J = ideal_closure(A, [A.unit(0), A.unit(1)])
     assert I.subspace != J.subspace
     assert I.hereditary_vertices == J.hereditary_vertices == frozenset({0, 1})
+
+
+# -- one squares span per tree -----------------------------------------------
+
+
+def test_closures_of_a_perfect_strongly_connected_algebra_eliminate_the_squares_once(
+    monkeypatch,
+):
+    # Every tree is all of V, so every closure is A^2 = A: the squares are
+    # eliminated for ``square_span`` and no closure eliminates anything.
+    A = EvolutionAlgebra(QQ, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    rows_in = []
+    eliminate = linalg._eliminate
+
+    def counting(rows, ncols, p):
+        rows_in.append(len(rows))
+        return eliminate(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert A.square_span.is_full
+    closures = [ideal_closure(A, [A.unit(i)]) for i in range(A.n)]
+    for gens in ([[1, 2, 3, 4]], [[1, -1, 0, 2], [0, 1, 1, 1]], [["1/2", 0, "-3", 1]]):
+        closures.append(ideal_closure(A, gens))
+    assert rows_in == [A.n]
+    assert all(ideal.subspace.is_full for ideal in closures)
+    assert A.graph.is_simple() and A.is_perfect()
+
+
+def _tree_mask(A, gens):
+    support = {j for v in gens for j, x in enumerate(v) if A.field.coerce(x)}
+    return sum(1 << j for j in A.graph.tree(support))
+
+
+def _closure_mismatches(seed=41):
+    """Closures on seeded random algebras over Q, F2, F3 and F5, requested in
+    shuffled order, against the ``rref`` of the generators and the squares of
+    the tree of their support; returns the mismatches and how often each kind
+    of request came up."""
+    rng = random.Random(seed)
+    mismatches = []
+    kinds = dict.fromkeys(("hit", "miss", "no_generators", "zero", "outside_squares"), 0)
+    for k in range(48):
+        field = (QQ, GF2, PrimeField(3), PrimeField(5))[k % 4]
+        spec = RandomSpec(field=field, min_dim=1, max_dim=8, density=rng.choice([0.2, 0.5]), seed=k)
+        A = random_with_sinks(spec, min_sinks=1) if k % 3 == 2 else random_algebra(spec)
+        n, pool = A.n, (0, 0, 1, 2, -1)
+        requests = [[A.unit(i)] for i in range(n)] + [[], [[0] * n]]
+        requests += [[[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+                     for _ in range(4)]
+        requests *= 2
+        rng.shuffle(requests)
+        for gens in requests:
+            tree = _tree_mask(A, gens)
+            kinds["hit" if tree in A._spans_by_tree else "miss"] += 1
+            squares = [sq for j, sq in enumerate(A.squares) if tree >> j & 1]
+            expected = rref(field, n, list(gens) + squares)
+            if ideal_closure(A, gens).subspace != expected:
+                mismatches.append((k, gens))
+            kinds["no_generators"] += not gens
+            kinds["zero"] += bool(gens) and not rref(field, n, gens).dim
+            kinds["outside_squares"] += not rref(field, n, squares).contains_subspace(
+                rref(field, n, gens)
+            )
+    return mismatches, kinds
+
+
+def test_closures_in_any_order_equal_the_span_of_generators_and_tree_squares():
+    mismatches, kinds = _closure_mismatches()
+    assert mismatches == []
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_the_squares_span_memo_stops_at_n_plus_one_spans():
+    # On the zero algebra every vertex set is a tree, so 256 trees meet a
+    # memo of at most 9 spans; the closures past it are still right.
+    A = zero_algebra(8)
+    for mask in random.Random(5).sample(range(256), 256):
+        units = [A.unit(i) for i in range(8) if mask >> i & 1]
+        assert ideal_closure(A, units).subspace == rref(QQ, 8, units)
+        assert len(A._spans_by_tree) <= 9
+    assert len(A._spans_by_tree) == 9
+
+
+def _any_stored_span(self, tree):
+    """A squares-span lookup that ignores the tree and returns a stored span."""
+    return next(iter(self._spans_by_tree.values()))
+
+
+def test_a_squares_span_memo_that_ignores_the_tree_is_caught(monkeypatch):
+    monkeypatch.setattr(EvolutionAlgebra, "_squares_span", _any_stored_span)
+    for A in (four_dim_all_to_third(GF2), three_dim_perfect(PrimeField(3))):
+        mismatches = certify_fast_vs_brute(A)["mismatches"]
+        assert "ideal_closure mismatch at subspace 0" in mismatches
+    assert _closure_mismatches()[0] != []
 
 
 # -- random identities -----------------------------------------------------------------------
