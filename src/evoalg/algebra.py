@@ -87,28 +87,9 @@ class EvolutionAlgebra:
     def square_span(self):
         """Span of all basis squares; this is the product A·A of the algebra
         with itself, and its dimension is the rank of the structure matrix.
-        It is the ``_squares_span`` of the tree of all vertices."""
-        return self._squares_span((1 << self.n) - 1)
-
-    @cached_property
-    def _spans_by_tree(self):
-        """The memo of ``_squares_span`` by vertex mask, at most n + 1 spans;
-        the one of all vertices is always there."""
-        return {(1 << self.n) - 1: linalg.rref(self.field, self.n, self._int_squares)}
-
-    def _squares_span(self, tree):
-        """S_T = span{e_j^2 : j in T} for the vertex mask ``tree`` of T.
-
-        The ideal generated by X is span(X) + S_T for T the tree of supp(X),
-        so every closure over one tree starts from one elimination.  A tree
-        past the memo's n + 1 entries gets None and is not stored.
-        """
-        memo = self._spans_by_tree
-        span = memo.get(tree)
-        if span is None and len(memo) <= self.n:
-            rows = [sq for j, sq in enumerate(self._int_squares) if tree >> j & 1]
-            span = memo[tree] = linalg.rref(self.field, self.n, rows)
-        return span
+        ``ideal_closure`` starts from it when the generators reach every
+        vertex."""
+        return linalg.rref(self.field, self.n, self._int_squares)
 
     def is_perfect(self):
         """True when the squares span everything (invertible structure

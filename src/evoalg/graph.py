@@ -138,15 +138,11 @@ class Digraph:
 
     def tree(self, vertices):
         """All vertices reachable from the set, the set itself included."""
-        return _mask_to_frozenset(self._tree_mask(vertices))
-
-    def _tree_mask(self, vertices):
-        """``tree`` as a vertex mask."""
         reach = self._reach_masks
         m = 0
         for v in self._check_vertices(vertices):
             m |= reach[v]
-        return m
+        return _mask_to_frozenset(m)
 
     def is_hereditary(self, vertices):
         vs = self._check_vertices(vertices)

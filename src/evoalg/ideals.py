@@ -22,7 +22,9 @@ import itertools
 from functools import cached_property
 
 from . import linalg
-from .linalg import Subspace, rref, support
+# ``rref`` is not called here; it is bound as ``ideals.rref`` for code that
+# reads it from this module, such as perfbench/tracer.py.
+from .linalg import Subspace, rref, support  # noqa: F401
 
 __all__ = [
     "Ideal",
@@ -190,21 +192,22 @@ def ideal_closure(algebra, generators) -> Ideal:
     squares: the squares over the whole tree T of the generators' support.
     Their span S_T together with the generators is supported inside T, so
     span(X) + S_T is already the ideal.  The support of span(X) is the union
-    of the supports in X.  S_T depends on T alone, and the algebra keeps one
-    per tree (``square_span`` is the one of all vertices): when S_T is the
-    whole space it is the ideal, and otherwise one elimination of its reduced
-    rows with the generators, each coerced once, gives the basis.
+    of the supports in X.  When T holds every vertex, S_T is the algebra's
+    ``square_span``: the ideal is S_T itself when that is the whole space,
+    and otherwise one elimination of its reduced rows with the generators.
+    For a smaller T, one elimination of the generators with the squares
+    over T gives the basis.  Each generator is coerced once.
     """
     field, n = algebra.field, algebra.n
     gens = [linalg._coerce_row(field, v, n) for v in generators]
-    tree = algebra.graph._tree_mask(_column_support(gens))
-    squares = algebra._squares_span(tree)
-    if squares is None:  # past the memo's bound: the raw squares of T
-        rows = [sq for j, sq in enumerate(algebra._int_squares) if tree >> j & 1]
-        return Ideal(algebra, rref(field, n, gens + rows), _validated=True)
-    if not squares.is_full:
-        squares = linalg._span(field, n, [*squares._ints(), *gens])
-    return Ideal(algebra, squares, _validated=True)
+    tree = algebra.graph.tree(_column_support(gens))
+    if len(tree) < n:
+        rows = gens + [algebra._int_squares[j] for j in sorted(tree)]
+    elif algebra.square_span.is_full:
+        return Ideal(algebra, algebra.square_span, _validated=True)
+    else:
+        rows = [*algebra.square_span._ints(), *gens]
+    return Ideal(algebra, linalg._span(field, n, rows), _validated=True)
 
 
 def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:

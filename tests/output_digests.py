@@ -261,8 +261,8 @@ def linalg_digests(count=300):
 
         generator_sets = [vectors(rng.randint(0, 3)) for _ in range(4)]
         closures = [closure(gens) for gens in generator_sets]
-        # The same closures again, in reverse order, once the algebra has met
-        # their trees.
+        # The same closures again, in reverse order, once the algebra holds
+        # its square span.
         closures_again = [closure(gens) for gens in reversed(generator_sets)]
         errors = []
         for bad in ([[1] * (n + 1)], [["x"] * n], [[0] * n, [1] * (n + 2)], [["1/0"] * n]):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, linalg, nullspace, rref
+from evoalg import GF2, QQ, Digraph, EvolutionAlgebra, PrimeField, linalg, nullspace, rref
 from evoalg.ideals import (
     CRITERION_HYPERPLANE,
     CRITERION_MAX_HEREDITARY,
@@ -481,7 +481,7 @@ def test_two_ideals_with_equal_hereditary_vertices():
     assert I.hereditary_vertices == J.hereditary_vertices == frozenset({0, 1})
 
 
-# -- one squares span per tree -----------------------------------------------
+# -- closures from the square span -------------------------------------------
 
 
 def test_closures_of_a_perfect_strongly_connected_algebra_eliminate_the_squares_once(
@@ -507,9 +507,17 @@ def test_closures_of_a_perfect_strongly_connected_algebra_eliminate_the_squares_
     assert A.graph.is_simple() and A.is_perfect()
 
 
-def _tree_mask(A, gens):
-    support = {j for v in gens for j, x in enumerate(v) if A.field.coerce(x)}
-    return sum(1 << j for j in A.graph.tree(support))
+def _tree(A, gens):
+    """The tree of the generators' support, searched on the squares (j is
+    reached from i when coordinate j of e_i^2 is nonzero), not on the graph."""
+    tree = {j for v in gens for j, x in enumerate(v) if A.field.coerce(x)}
+    todo = list(tree)
+    while todo:
+        for j, x in enumerate(A.squares[todo.pop()]):
+            if x and j not in tree:
+                tree.add(j)
+                todo.append(j)
+    return tree
 
 
 def _closure_mismatches(seed=41):
@@ -519,7 +527,11 @@ def _closure_mismatches(seed=41):
     of request came up."""
     rng = random.Random(seed)
     mismatches = []
-    kinds = dict.fromkeys(("hit", "miss", "no_generators", "zero", "outside_squares"), 0)
+    kinds = dict.fromkeys(
+        ("all_vertices", "full_squares", "proper_tree", "no_generators", "zero",
+         "outside_squares"),
+        0,
+    )
     for k in range(48):
         field = (QQ, GF2, PrimeField(3), PrimeField(5))[k % 4]
         spec = RandomSpec(field=field, min_dim=1, max_dim=8, density=rng.choice([0.2, 0.5]), seed=k)
@@ -531,12 +543,16 @@ def _closure_mismatches(seed=41):
         requests *= 2
         rng.shuffle(requests)
         for gens in requests:
-            tree = _tree_mask(A, gens)
-            kinds["hit" if tree in A._spans_by_tree else "miss"] += 1
-            squares = [sq for j, sq in enumerate(A.squares) if tree >> j & 1]
+            tree = _tree(A, gens)
+            squares = [A.squares[j] for j in sorted(tree)]
             expected = rref(field, n, list(gens) + squares)
             if ideal_closure(A, gens).subspace != expected:
                 mismatches.append((k, gens))
+            if len(tree) == n:
+                kinds["all_vertices"] += 1
+                kinds["full_squares"] += rref(field, n, squares).is_full
+            else:
+                kinds["proper_tree"] += 1
             kinds["no_generators"] += not gens
             kinds["zero"] += bool(gens) and not rref(field, n, gens).dim
             kinds["outside_squares"] += not rref(field, n, squares).contains_subspace(
@@ -551,24 +567,23 @@ def test_closures_in_any_order_equal_the_span_of_generators_and_tree_squares():
     assert min(kinds.values()) > 0, kinds
 
 
-def test_the_squares_span_memo_stops_at_n_plus_one_spans():
-    # On the zero algebra every vertex set is a tree, so 256 trees meet a
-    # memo of at most 9 spans; the closures past it are still right.
+def test_every_unit_subset_closure_of_the_zero_algebra_is_its_span():
+    # On the zero algebra every vertex set is a tree and A^2 = 0, so each
+    # closure is the span of its generators, all vertices included.
     A = zero_algebra(8)
     for mask in random.Random(5).sample(range(256), 256):
         units = [A.unit(i) for i in range(8) if mask >> i & 1]
         assert ideal_closure(A, units).subspace == rref(QQ, 8, units)
-        assert len(A._spans_by_tree) <= 9
-    assert len(A._spans_by_tree) == 9
 
 
-def _any_stored_span(self, tree):
-    """A squares-span lookup that ignores the tree and returns a stored span."""
-    return next(iter(self._spans_by_tree.values()))
+def _every_vertex(self, vertices):
+    """A tree lookup that ignores its argument, so that every closure starts
+    from the square span whatever the tree of its generators."""
+    return frozenset(range(self.n))
 
 
-def test_a_squares_span_memo_that_ignores_the_tree_is_caught(monkeypatch):
-    monkeypatch.setattr(EvolutionAlgebra, "_squares_span", _any_stored_span)
+def test_a_closure_that_ignores_the_tree_is_caught(monkeypatch):
+    monkeypatch.setattr(Digraph, "tree", _every_vertex)
     for A in (four_dim_all_to_third(GF2), three_dim_perfect(PrimeField(3))):
         mismatches = certify_fast_vs_brute(A)["mismatches"]
         assert "ideal_closure mismatch at subspace 0" in mismatches
