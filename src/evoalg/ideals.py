@@ -49,7 +49,7 @@ def is_ideal(algebra, subspace):
     if subspace.ambient_dim != algebra.n or subspace.field != algebra.field:
         raise ValueError("subspace does not match the algebra")
     return all(
-        subspace.contains(algebra._int_squares[i]) for i in _column_support(subspace._ints())
+        subspace.contains(algebra._int_squares[i]) for i in _column_support(subspace._rows)
     )
 
 
@@ -104,7 +104,7 @@ class Ideal:
         zero, so that row must be zero after it.
         """
         s = self.subspace
-        return frozenset(c for row, c in zip(s._ints(), s.pivots) if not any(row[c + 1 :]))
+        return frozenset(c for row, c in zip(s._rows, s.pivots) if not any(row[c + 1 :]))
 
     def has_absorption(self):
         """True when the ideal equals the span of its hereditary vertices.
@@ -206,7 +206,7 @@ def ideal_closure(algebra, generators) -> Ideal:
     elif algebra.square_span.is_full:
         return Ideal(algebra, algebra.square_span, _validated=True)
     else:
-        rows = [*algebra.square_span._ints(), *gens]
+        rows = [*algebra.square_span._rows, *gens]
     return Ideal(algebra, linalg._span(field, n, rows), _validated=True)
 
 
@@ -231,15 +231,16 @@ def maximal_ideal_cover_check(algebra, ideal: Ideal) -> bool:
 
 
 def _hyperplanes_over_square_span(algebra):
-    """All (p^c - 1)/(p - 1) codimension-one subspaces containing the square
-    span, for prime fields; each is a maximal ideal.  With d the last index
-    where a functional φ vanishing on the square span is nonzero, ker φ has
-    the reduced echelon rows e_j - (φ_j/φ_d)·e_d for j != d, pivoted at j
-    (φ_j = 0 for j > d, so no row has an entry before its pivot)."""
+    """Yield the reduced echelon rows of each of the (p^c - 1)/(p - 1)
+    codimension-one subspaces containing the square span, for prime fields;
+    each is a maximal ideal.  With d the last index where a functional φ
+    vanishing on the square span is nonzero, ker φ has the rows
+    e_j - (φ_j/φ_d)·e_d for j != d, pivoted at j (φ_j = 0 for j > d, so no
+    row has an entry before its pivot).  The other entries are sliced from
+    the algebra's shared unit rows."""
     A = algebra
     n, p = A.n, A.field.order
-    functionals = linalg._kernel_rows(A.field, linalg.nullspace(A.field, n, A.square_span._ints()))
-    out = []
+    functionals = linalg._kernel_rows(A.field, linalg.nullspace(A.field, n, A.square_span._rows))
     # Nonzero combinations whose first nonzero coefficient is one, in
     # lexicographic order: one functional per hyperplane.
     codim = len(functionals)
@@ -252,13 +253,11 @@ def _hyperplanes_over_square_span(algebra):
         phi = [sum(c * f for c, f in zip(coeffs, col)) % p for col in zip(*functionals)]
         d = max(k for k in range(n) if phi[k])
         scale = -pow(phi[d], -1, p)
-        pivots = tuple(j for j in range(n) if j != d)
-        basis = tuple(
+        yield [
             A.unit(j)[:d] + (A.field.from_int(scale * phi[j]),) + A.unit(j)[d + 1 :]
-            for j in pivots
-        )
-        out.append(Ideal(A, Subspace(A.field, n, basis, pivots), _validated=True))
-    return out
+            for j in range(n)
+            if j != d
+        ]
 
 
 def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
@@ -296,13 +295,10 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         p = A.field.order
         total = (p**codim - 1) // (p - 1)
         if total <= hyperplane_limit:
-            hyperplanes = _hyperplanes_over_square_span(A)
             family = {
                 "kind": "family",
                 "count": total,
-                "ideals": [
-                    _row_strings(A, ideal.subspace.basis) for ideal in hyperplanes
-                ],
+                "ideals": [_row_strings(A, rows) for rows in _hyperplanes_over_square_span(A)],
             }
         else:
             family = {"kind": "family", "count": total, "ideals": None}

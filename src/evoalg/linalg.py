@@ -6,12 +6,12 @@ elsewhere.  Consequently two subspaces are equal exactly when their basis
 matrices are equal entry-wise, which turns every set identity downstream into
 a plain ``==``.
 
-Over F_p a subspace is held as int rows in [0, p): each input row is coerced
-once, rows are combined with ``(a - f * b) % p`` and pivots inverted with
-``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and hashing
-all run on those int rows; the :class:`Residue` rows of ``basis`` are built
-only when it is first read.  Over Q the same loop runs on the ``Fraction``
-basis itself.
+A subspace holds one row store, set when it is built: int rows in [0, p)
+over F_p, the ``Fraction`` rows themselves over Q.  Each input row is coerced
+once; over F_p rows are combined with ``(a - f * b) % p`` and pivots inverted
+with ``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and
+hashing all run on the row store; over F_p the :class:`Residue` rows of
+``basis`` are built only when it is first read.
 """
 
 from __future__ import annotations
@@ -113,11 +113,12 @@ def rref(field, ambient_dim, vectors):
 
 
 def _span(field, n, rows):
-    """``rref`` of rows already coerced, eliminated in place."""
+    """``rref`` of rows already coerced, eliminated in place; the reduced
+    rows become the row store as they are."""
     pivots = tuple(_eliminate(rows, n, field.order))
-    rows = tuple(tuple(row) for row in rows[: len(pivots)])
-    s = Subspace(field, n, rows if field.order is None else None, pivots)
-    s._int_rows = rows
+    s = Subspace(field, n, (), pivots)
+    s._rows = tuple(tuple(row) for row in rows[: len(pivots)])
+    s._basis = s._rows if field.order is None else None
     return s
 
 
@@ -128,31 +129,26 @@ class Subspace:
     canonical form: pivots strictly increasing, each pivot entry one and its
     column zero in every other row.  A coordinate subspace span{e_i : i in H}
     meets it as the unit rows of H in index order, pivoted at H, and is built
-    directly.  The constructor trusts its arguments.  Immutable and hashable.
+    directly.  The constructor trusts its arguments and converts the basis
+    once into the row store ``_rows``.  Immutable and hashable.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "_basis", "_int_rows")
+    __slots__ = ("field", "ambient_dim", "pivots", "_rows", "_basis")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.pivots = pivots
+        self._rows = _kernel_rows(field, basis)
         self._basis = basis
-        self._int_rows = None
 
     @property
     def basis(self):
-        """The basis rows; over F_p ``Residue`` rows built when first read."""
+        """The basis rows: the row store over Q, ``Residue`` rows over F_p
+        built when first read."""
         if self._basis is None:
-            self._basis = tuple(tuple(map(self.field.from_int, row)) for row in self._int_rows)
+            self._basis = tuple(tuple(map(self.field.from_int, row)) for row in self._rows)
         return self._basis
-
-    def _ints(self):
-        """The int rows in [0, p) over F_p, the basis over Q; ``rref`` hands
-        them over, a directly built subspace derives them once."""
-        if self._int_rows is None:
-            self._int_rows = _kernel_rows(self.field, self._basis)
-        return self._int_rows
 
     @property
     def dim(self):
@@ -177,7 +173,7 @@ class Subspace:
         [0, p) over F_p."""
         p = self.field.order
         w = _coerce_row(self.field, vec, self.ambient_dim)
-        for row, c in zip(self._ints(), self.pivots):
+        for row, c in zip(self._rows, self.pivots):
             f = w[c]
             if f:
                 if p is None:
@@ -194,14 +190,14 @@ class Subspace:
 
     def contains_subspace(self, other):
         self._check_compatible(other)
-        return all(self.contains(row) for row in other._ints())
+        return all(self.contains(row) for row in other._rows)
 
     def sum(self, other):
         """Span of both bases; a zero operand returns the other as is."""
         self._check_compatible(other)
         if self.is_zero or other.is_zero:
             return self if other.is_zero else other
-        return _span(self.field, self.ambient_dim, [list(r) for r in self._ints() + other._ints()])
+        return _span(self.field, self.ambient_dim, [list(r) for r in self._rows + other._rows])
 
     def intersect(self, other):
         """Intersection, from the residuals of the rows u_i of the operand U
@@ -213,7 +209,7 @@ class Subspace:
         dim U unknowns."""
         self._check_compatible(other)
         u, w = (self, other) if self.dim <= other.dim else (other, self)
-        residuals = [w._residual(row) for row in u._ints()]
+        residuals = [w._residual(row) for row in u._rows]
         if not any(map(any, residuals)):
             return u
         pivots = set(w.pivots)
@@ -221,7 +217,7 @@ class Subspace:
         vecs = []
         for combo in _kernel_rows(self.field, nullspace(self.field, u.dim, eqs)):
             acc = [0] * self.ambient_dim
-            for coef, row in zip(combo, u._ints()):
+            for coef, row in zip(combo, u._rows):
                 if coef:
                     acc = [a + coef * b for a, b in zip(acc, row)]
             vecs.append(acc)
@@ -237,11 +233,11 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self._ints() == other._ints()
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self._ints()))
+        return hash((self.field, self.ambient_dim, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -264,8 +260,8 @@ def nullspace(field, width, equations):
     for f in free_cols:
         x = [field.zero] * width
         x[f] = field.one
-        for row, c in zip(reduced.basis, reduced.pivots):
+        for row, c in zip(reduced._rows, reduced.pivots):
             if row[f]:
-                x[c] = -row[f]
+                x[c] = field.from_int(-row[f])
         out.append(tuple(x))
     return out
