@@ -4,7 +4,9 @@ A document is UTF-8 JSON with exactly these keys:
 
 * ``field``: ``"Q"`` or ``{"prime": p}``
 * ``dim``: the dimension n
-* ``basis``: optional list of n distinct labels (default ``e1..en``)
+* ``basis``: optional list of n distinct labels (default ``e1..en``), each
+  nonempty, without commas and without leading or trailing whitespace, so
+  that the CLI's comma-separated vertex sets name and print every label
 * ``squares``: map from basis label to a sparse column, itself a map from
   basis label to a scalar string, giving the coordinates of that basis
   vector's square.  Absent entries are zero; absent columns are zero squares.
@@ -81,6 +83,9 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
         "".join(labels).encode()
     except UnicodeEncodeError:
         raise InputError("basis labels must encode as UTF-8") from None
+    for lab in labels:
+        if not lab or "," in lab or lab != lab.strip():
+            raise InputError(f"basis label {lab!r} is empty or has a comma or outer whitespace")
     index = {lab: i for i, lab in enumerate(labels)}
 
     squares_doc = doc["squares"]

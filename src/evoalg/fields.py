@@ -126,13 +126,12 @@ class Residue:
 
 
 class Record:
-    """A value class compared and shown by its ``__init__`` parameters, stored by
-    name, as a dataclass is by its fields but without ``dataclasses``; unhashable."""
+    """A value class compared and shown by its attributes, as a dataclass is
+    by its fields but without ``dataclasses``; unhashable.  Each subclass
+    stores exactly its ``__init__`` parameters, in parameter order."""
 
     def _items(self):
-        code = getattr(type(self).__init__, "__code__", None)
-        names = code.co_varnames[1 : code.co_argcount] if code else ()
-        return tuple((name, getattr(self, name)) for name in names)
+        return tuple(vars(self).items())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -118,7 +118,8 @@ def _squares_int(algebra):
 
 
 def _subspace_int_rows(subspace):
-    return [tuple(x.value for x in row) for row in subspace.basis]
+    """Basis rows as int tuples, to compare without ``Subspace.__eq__``."""
+    return tuple(tuple(x.value for x in row) for row in subspace.basis)
 
 
 def _mask(row_bits):
@@ -575,12 +576,13 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
             mismatches.append(f"is_ideal mismatch at subspace {i}")
         rows = _raw_rows(p, s)
         least = next(t for t, elems in by_dim if all(r in elems for r in rows))
-        if ideals_mod.ideal_closure(A, s.basis).subspace != least:
+        closure = ideals_mod.ideal_closure(A, s.basis).subspace
+        if _subspace_int_rows(closure) != _subspace_int_rows(least):
             mismatches.append(f"ideal_closure mismatch at subspace {i}")
         compared += 1
 
     brute_max = brute_force_maximal_ideals(A, brute_ideal_list)
-    brute_max_keys = {s.basis for s in brute_max}
+    brute_max_keys = {_subspace_int_rows(s) for s in brute_max}
     for s in brute_ideal_list:
         ideal = ideals_mod.Ideal(A, s, _validated=True)
         if ideal.has_absorption() != brute_force_absorption(A, s):
@@ -597,18 +599,16 @@ def certify_fast_vs_brute(algebra, subspaces=None, max_compare=None, seed=0):
         if ideal.is_spanned_by_basis_vertices() != (len(elems) == p ** len(b)):
             mismatches.append("is_spanned_by_basis_vertices mismatch")
         if s.dim < A.n:
-            if ideal.is_maximal() != (s.basis in brute_max_keys):
+            if ideal.is_maximal() != (_subspace_int_rows(s) in brute_max_keys):
                 mismatches.append("is_maximal mismatch")
 
     found = ideals_mod.find_proper_nonzero_ideal(A)
-    brute_proper = [s for s in brute_ideal_list if 0 < s.dim < A.n]
-    if not (found.subspace in brute_proper if found else not brute_proper):
+    brute_proper = {_subspace_int_rows(s) for s in brute_ideal_list if 0 < s.dim < A.n}
+    if not (_subspace_int_rows(found.subspace) in brute_proper if found else not brute_proper):
         mismatches.append("find_proper_nonzero_ideal disagrees with brute force")
 
     report = ideals_mod.maximal_ideals_report(A)
-    if report["complete"] and _listed_maximal_ideals(A, report) != {
-        tuple(_subspace_int_rows(s)) for s in brute_max
-    }:
+    if report["complete"] and _listed_maximal_ideals(A, report) != brute_max_keys:
         mismatches.append("maximal_ideals_report is complete but lists other ideals")
     return {
         "dim": A.n,

@@ -185,3 +185,10 @@ def test_index_of_label():
     assert A.index_of("e2") == 1
     with pytest.raises(ValueError):
         A.index_of("x9")
+
+
+def test_algebras_hash_by_value_and_show_their_size_and_field():
+    A, B = six_dim_branching(), six_dim_branching()
+    assert A is not B and hash(A) == hash(B) and {A: "six"}[B] == "six"
+    assert repr(A) == "EvolutionAlgebra(n=6, field=Q)"
+    assert repr(zero_algebra(2, GF2)) == "EvolutionAlgebra(n=2, field=F2)"

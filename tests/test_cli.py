@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -511,6 +512,24 @@ def test_quotient_set_may_start_with_a_minus_sign(tmp_path, capsys):
     code, out, err = run_cli(capsys, "quotient", str(path), "--set", "-a")
     assert code == 0, err
     assert (code, out) == run_cli(capsys, "quotient", str(path), "--set=-a")[:2]
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(["a,b", "c", "d"], "a,b"), (["a", " c", "d"], " c"), (["a", "b", "c\t"], "c\t"),
+     (["", "x", "y"], "")],
+)
+def test_document_rejects_labels_the_cli_cannot_name_apart(tmp_path, capsys, labels, bad):
+    # --set splits on commas and strips each part, and vertex sets print as
+    # {a,b}: such a label could not be named, or printed apart from others.
+    doc = {"field": "Q", "dim": 3, "basis": labels, "squares": {}}
+    with pytest.raises(InputError, match=f"basis label {re.escape(repr(bad))}"):
+        algebra_from_document(doc)
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["hereditary", str(path)], ["quotient", str(path), "--set", labels[0]]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and repr(bad) in err, argv
 
 
 def test_ideal_command_rejects_bad_generators(six_file, capsys):

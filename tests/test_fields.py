@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -163,3 +164,14 @@ def test_field_axioms_on_random_triples(field):
         assert a + (-a) == zero
         if b:
             assert (a / b) * b == a
+
+
+def test_residue_arithmetic_with_a_plain_number_is_a_type_error():
+    # Only a Residue of the same modulus is an operand; an int is not coerced.
+    a = Residue(1, 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, 1)
+        with pytest.raises(TypeError):
+            op(a, Fraction(1))
+    assert a != 1 and not a == 1

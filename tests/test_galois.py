@@ -496,3 +496,12 @@ def test_suite_context_walks_the_hereditary_family_once():
     assert peak < 3.5 * 2**20
     assert len(ctx.her_sat) == 4096
     assert all(s is h for s, h in zip(ctx.her_sat, ctx.hered))
+
+
+def test_lattice_identities_skip_an_empty_ideal_family_and_catch_a_broken_sum(monkeypatch):
+    A = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])  # two independent loops
+    assert check_lattice_identities(A, ideal_families=[[]])
+    owner, name, breaker = MUTANTS["sum_returns_self"]
+    monkeypatch.setattr(owner, name, breaker(getattr(owner, name)))
+    # span{e1} + span{e2} now reads as the zero subspace, not the whole span.
+    assert not check_lattice_identities(A, hereditary_families=[[{0}, {1}]])

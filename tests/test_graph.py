@@ -619,3 +619,11 @@ def test_vertex_sets_reject_non_integers():
     assert g.is_saturated({False, True})
     with pytest.raises(ValueError, match=r"^vertex 2 out of range 0\.\.1$"):
         g.tree({0, 2})
+
+
+def test_digraphs_hash_by_value_and_show_their_size():
+    g, h = six_dim_branching().graph, associated_graph(six_dim_branching())
+    assert g is not h and hash(g) == hash(h) and {g: "six"}[h] == "six"
+    # e1 -> e2, e2 -> e2, e3 -> e4, e3 -> e5, e5 -> e6.
+    assert repr(g) == "Digraph(n=6, edges=5)"
+    assert repr(Digraph(0, [])) == "Digraph(n=0, edges=0)"

@@ -678,3 +678,16 @@ def test_maximal_ideals_without_hyperplane_over_squares_absorb():
             if not over_squares:
                 assert ideal.has_absorption()
             assert maximal_ideal_cover_check(A, ideal)
+
+
+def test_ideals_compare_hash_and_show_by_algebra_and_subspace():
+    A = six_dim_branching()
+    span_e2 = ideal_from_hereditary(A, {1})
+    closure = ideal_closure(A, [A.unit(1)])
+    assert span_e2 is not closure and span_e2 == closure and hash(span_e2) == hash(closure)
+    assert {span_e2: "e2"}[closure] == "e2"
+    assert span_e2 != ideal_from_hereditary(A, {1, 3})
+    # The same vertex span of an algebra over another field is another ideal.
+    assert span_e2 != ideal_from_hereditary(six_dim_branching(GF2), {1})
+    assert span_e2.__eq__(span_e2.subspace) is NotImplemented and span_e2 != span_e2.subspace
+    assert repr(span_e2) == "Ideal(dim=1, ambient=6)"

@@ -7,7 +7,7 @@ from evoalg import GF2, QQ, EnumerationLimitError, EvolutionAlgebra, PrimeField
 from evoalg import graph, ideals, oracle
 from evoalg.graph import Digraph
 from evoalg.ideals import Ideal, is_ideal
-from evoalg.linalg import rref
+from evoalg.linalg import Subspace, rref
 from evoalg.oracle import (
     RandomSpec,
     brute_force_absorption,
@@ -313,6 +313,14 @@ def test_certification_over_odd_prime_fields(p, dims, count):
         result = certify_fast_vs_brute(A)
         assert result["mismatches"] == [], (p, k)
     assert families >= count // 2
+
+def test_certification_does_not_compare_through_subspace_equality(monkeypatch):
+    # Subspace equality is linalg code that the oracle certifies, so an honest
+    # algebra must certify cleanly even when that equality is broken.
+    A = random_algebra(RandomSpec(PrimeField(2), 3, 3, 0.6, seed=1))
+    monkeypatch.setattr(Subspace, "__eq__", lambda self, other: False)
+    assert certify_fast_vs_brute(A)["mismatches"] == []
+
 
 def test_certification_sees_every_subspace_at_small_dims():
     A = three_dim_perfect(GF2)
