@@ -42,7 +42,11 @@ def test_lower_is_better_for_latencies():
     out = pairs.compare(base, [11.0, 11.2, 10.8, 11.0], "lower", 0.2)
     assert out["verdict"] == "within bound"
     out = pairs.compare(base, [8.0, 8.1, 7.9, 8.0], "lower", 0.2)
-    assert out["head_wins"] == 4 and out["gain"] and out["verdict"] == "within bound"
+    assert out["head_wins"] == 4 and out["verdict"] == "within bound"
+    # Four pairs are too few to show a gain; ten such pairs show one.
+    assert not out["gain"]
+    ten = pairs.compare((base * 3)[:10], ([8.0, 8.1, 7.9, 8.0] * 3)[:10], "lower", 0.2)
+    assert ten["pairs"] == 10 and ten["gain"]
 
 
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():

@@ -23,8 +23,9 @@ workload and metric both sides' median and quartiles, the pairs HEAD won
   bound;
 * ``within bound`` otherwise.
 
-``gain`` is true when HEAD won at least nine tenths of the pairs and the
-medians differ, in HEAD's favour, by more than BASE's quartile spread.  A
+``gain`` is true when there are at least ten pairs, HEAD won at least nine
+tenths of them and the medians differ, in HEAD's favour, by more than BASE's
+quartile spread.  A
 metric that reads 0 on both sides (``q_ops_per_s`` of a workload without Q
 ops) is ``not measured``.  Nothing is written inside the repository but the
 record named by ``--out``.
@@ -44,6 +45,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Fewer pairs than this show no gain, however they fall.
+MIN_GAIN_PAIRS = 10
 
 
 def quartiles(values):
@@ -74,7 +77,8 @@ def compare(base, head, better, bound):
     else:
         verdict = "within bound"
     gain = (
-        out["head_wins"] >= 0.9 * len(base)
+        len(base) >= MIN_GAIN_PAIRS
+        and out["head_wins"] >= 0.9 * len(base)
         and sign * (h["median"] - b["median"]) > b["q3"] - b["q1"]
     )
     return {**out, "change": change, "base_spread": spread, "verdict": verdict, "gain": gain}
