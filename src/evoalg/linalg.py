@@ -177,7 +177,9 @@ class Subspace:
             f = w[c]
             if f:
                 if p is None:
-                    w = [a - f * b for a, b in zip(w, row)]
+                    for j, b in enumerate(row):
+                        if b:
+                            w[j] -= f * b
                 else:
                     w = [(a - f * b) % p for a, b in zip(w, row)]
         return w
@@ -219,7 +221,9 @@ class Subspace:
             acc = [0] * self.ambient_dim
             for coef, row in zip(combo, u._rows):
                 if coef:
-                    acc = [a + coef * b for a, b in zip(acc, row)]
+                    for j, b in enumerate(row):
+                        if b:
+                            acc[j] += coef * b
             vecs.append(acc)
         return rref(self.field, self.ambient_dim, vecs)
 
