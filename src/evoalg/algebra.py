@@ -20,6 +20,13 @@ __all__ = ["DIM_CAP", "EvolutionAlgebra"]
 DIM_CAP = 64
 
 
+def _nameable(label):
+    """Whether ``label`` is a nonempty string without commas or outer
+    whitespace: the labels that comma-separated vertex sets name and print
+    apart, and that algebra documents accept."""
+    return isinstance(label, str) and label != "" and "," not in label and label == label.strip()
+
+
 class EvolutionAlgebra:
     """Immutable evolution algebra value over an exact field."""
 
@@ -40,6 +47,11 @@ class EvolutionAlgebra:
             raise ValueError("label count differs from dimension")
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
+        for lab in self.labels:
+            if not _nameable(lab):
+                raise ValueError(
+                    f"basis label {lab!r} is not a nonempty string without commas or outer whitespace"
+                )
 
     @property
     def n(self):

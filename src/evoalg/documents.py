@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import DIM_CAP, EvolutionAlgebra
+from .algebra import DIM_CAP, EvolutionAlgebra, _nameable
 from .errors import InputError
 from .fields import QQ, PrimeField
 
@@ -84,7 +84,7 @@ def algebra_from_document(doc) -> EvolutionAlgebra:
     except UnicodeEncodeError:
         raise InputError("basis labels must encode as UTF-8") from None
     for lab in labels:
-        if not lab or "," in lab or lab != lab.strip():
+        if not _nameable(lab):
             raise InputError(f"basis label {lab!r} is empty or has a comma or outer whitespace")
     index = {lab: i for i, lab in enumerate(labels)}
 

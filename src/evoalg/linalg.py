@@ -7,11 +7,15 @@ matrices are equal entry-wise, which turns every set identity downstream into
 a plain ``==``.
 
 A subspace holds one row store, set when it is built: int rows in [0, p)
-over F_p, the ``Fraction`` rows themselves over Q.  Each input row is coerced
-once; over F_p rows are combined with ``(a - f * b) % p`` and pivots inverted
-with ``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and
-hashing all run on the row store; over F_p the :class:`Residue` rows of
-``basis`` are built only when it is first read.
+over F_p, the ``Fraction`` rows themselves over Q, both as tuples of tuples.
+Each input row is coerced once; over F_p rows are combined with
+``(a - f * b) % p`` and pivots inverted with ``pow(x, -1, p)``.  ``sum``,
+``intersect``, membership, equality and hashing all run on the row store;
+over F_p the :class:`Residue` rows of ``basis`` are built only when it is
+first read.  Reduced echelon rows are zero in every other pivot column, so
+reducing a vector against a basis and combining basis rows in ``intersect``
+touch only the nonzero entries of each basis row over Q, updating a list
+that the call itself made; elimination still rebuilds whole rows.
 """
 
 from __future__ import annotations
@@ -67,8 +71,11 @@ def _coerce_row(field, vec, n):
 
 
 def _kernel_rows(field, rows):
-    """Field-element rows as the kernel holds them: ints over F_p, as is over Q."""
-    return rows if field.order is None else tuple(tuple(x.value for x in r) for r in rows)
+    """Field-element rows as the kernel holds them: tuples of ints over F_p,
+    of the elements themselves over Q."""
+    if field.order is None:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(x.value for x in r) for r in rows)
 
 
 def _eliminate(rows, ncols, p):
@@ -140,7 +147,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.pivots = pivots
         self._rows = _kernel_rows(field, basis)
-        self._basis = basis
+        self._basis = self._rows if field.order is None else tuple(map(tuple, basis))
 
     @property
     def basis(self):

@@ -1,9 +1,17 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from evoalg import GF2, QQ, EvolutionAlgebra
+from evoalg import (
+    GF2,
+    QQ,
+    EvolutionAlgebra,
+    InputError,
+    algebra_from_document,
+    algebra_to_document,
+)
 
 from helpers import (
     six_dim_branching,
@@ -178,6 +186,24 @@ def test_dimension_cap_and_label_validation():
         EvolutionAlgebra(QQ, [[0, 0], [0, 0]], labels=("a",))
     with pytest.raises(ValueError):
         EvolutionAlgebra(QQ, [])
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(["a b", "é"], None), (["a,b", "c"], "a,b"), ([" c", "d"], " c"), (["c", "d\t"], "d\t"),
+     (["", "x"], ""), (["x", 1], 1)],
+)
+def test_constructor_and_documents_accept_the_same_labels(labels, bad):
+    # One label rule for both, so every algebra that can be built can be
+    # written as a document and read back.
+    if bad is None:
+        A = EvolutionAlgebra(QQ, [[0, 1], [0, 0]], labels)
+        assert algebra_from_document(algebra_to_document(A)) == A
+        return
+    with pytest.raises(ValueError, match=f"basis label {re.escape(repr(bad))}"):
+        EvolutionAlgebra(QQ, [[0, 1], [0, 0]], labels)
+    with pytest.raises(InputError):
+        algebra_from_document({"field": "Q", "dim": 2, "basis": labels, "squares": {}})
 
 
 def test_index_of_label():

@@ -233,26 +233,73 @@ def _fp_rows(draw, p, n):
     return [[cast[kind](x) for kind, x in zip(kinds, row)] for row in rows]
 
 
+@st.composite
+def _q_rows(draw, n):
+    """Mostly zero rows of small ``Fraction``s, each entry handed over as the
+    ``Fraction``, its scalar string or, when whole, an int; half the time
+    drawn as combinations of fewer generators, so the rank falls short."""
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def sparse(width):
+        cols = draw(st.sets(st.integers(0, width - 1), max_size=2))
+        return [draw(frac) if j in cols else Fraction(0) for j in range(width)]
+
+    k = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        gens = [sparse(n) for _ in range(draw(st.integers(1, 3)))]
+        rows = []
+        for _ in range(k):
+            coefs = sparse(len(gens))
+            rows.append([sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(n)])
+    else:
+        rows = [sparse(n) for _ in range(k)]
+    kinds = draw(st.lists(st.sampled_from(("fraction", "str", "int")), min_size=n, max_size=n))
+    cast = {
+        "fraction": lambda x: x,
+        "str": str,
+        "int": lambda x: int(x) if x.denominator == 1 else x,
+    }
+    return [[cast[kind](Fraction(x)) for kind, x in zip(kinds, row)] for row in rows]
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_mod_p_kernel_matches_residue_loop(data):
     p = data.draw(st.sampled_from((2, 3, 5, 7, 2**31 - 1)))
     n = data.draw(st.integers(1, 6))
-    F = PrimeField(p)
-    rows = data.draw(_fp_rows(p, n))
+    _kernel_matches_reference_loops(PrimeField(p), n, lambda: data.draw(_fp_rows(p, n)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_kernel_matches_fraction_loop(data):
+    n = data.draw(st.integers(1, 6))
+    _kernel_matches_reference_loops(QQ, n, lambda: data.draw(_q_rows(n)))
+
+
+def _kernel_matches_reference_loops(F, n, draw_rows):
+    """``rref``, ``reduce``, ``contains``, ``nullspace``, ``intersect``,
+    ``sum`` and ``contains_subspace`` on drawn rows agree with the reference
+    loops, which run one field operation per entry."""
+    p = F.order
+    rows = draw_rows()
     s = rref(F, n, rows)
     basis, pivots = _reference_rref(F, n, rows)
     assert s.basis == basis and s.pivots == pivots
-    assert all(type(x) is Residue and x.p == p for row in s.basis for x in row)
-    # A subspace built directly from its basis derives its int rows itself.
+    assert all(
+        type(x) is Residue and x.p == p if p else type(x) is Fraction
+        for row in s.basis
+        for x in row
+    )
+    # A subspace built directly from its basis derives its kernel rows itself.
     direct = Subspace(F, n, s.basis, s.pivots)
-    for vec in data.draw(_fp_rows(p, n)):
+    for vec in draw_rows():
         residual = _reference_reduce(F, n, basis, pivots, vec)
         for sub in (s, direct):
             assert sub.reduce(vec) == residual
             assert sub.contains(vec) == (not any(residual))
     assert nullspace(F, n, rows) == _reference_nullspace(F, n, rows)
-    other_rows = data.draw(_fp_rows(p, n))
+    other_rows = draw_rows()
     other_basis, other_pivots = _reference_rref(F, n, other_rows)
     # Each subspace is checked before its basis is first read, so a hash or
     # an equality that looks at the Residue rows only once built shows.
@@ -339,6 +386,19 @@ def test_rational_subspaces_agree_across_origins():
             (meet, meet_ref[0], s, ub),
             (meet, meet_ref[0], t, wb),
         ])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2])
+def test_subspace_built_from_list_rows_is_the_rref_subspace(field):
+    one, zero = field.one, field.zero
+    rows = [[one, zero, one], [zero, one, zero]]
+    s, r = Subspace(field, 3, rows, (0, 1)), rref(field, 3, rows)
+    assert s == r and r == s and hash(s) == hash(r) and {r: 1}[s] == 1
+    assert s.basis == r.basis
+    e3 = rref(field, 3, [[zero, zero, one]])
+    for x, y in ((s, e3), (e3, s)):
+        assert x.sum(y).is_full and x.intersect(y).is_zero
+    assert s.sum(r) == r and s.intersect(r) == r
 
 
 def test_mod_p_kernel_rejects_a_foreign_modulus():
