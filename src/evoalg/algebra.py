@@ -21,10 +21,14 @@ DIM_CAP = 64
 
 
 def _nameable(label):
-    """Whether ``label`` is a nonempty string without commas or outer
-    whitespace: the labels that comma-separated vertex sets name and print
-    apart, and that algebra documents accept."""
-    return isinstance(label, str) and label != "" and "," not in label and label == label.strip()
+    """Whether ``label`` is a nonempty string without commas, outer
+    whitespace or lone surrogates (the code points UTF-8 cannot encode): the
+    labels that comma-separated vertex sets name and print apart, and that
+    algebra documents accept."""
+    return (
+        isinstance(label, str) and label != "" and "," not in label and label == label.strip()
+        and not any("\ud800" <= ch <= "\udfff" for ch in label)
+    )
 
 
 class EvolutionAlgebra:
@@ -37,9 +41,7 @@ class EvolutionAlgebra:
         if n > DIM_CAP:
             raise ValueError(f"dimension {n} exceeds the cap {DIM_CAP}")
         self.field = field
-        self.squares = tuple(
-            linalg.coerce_vector(field, sq, n) for sq in squares
-        )
+        self._int_squares = tuple(tuple(linalg._coerce_row(field, sq, n)) for sq in squares)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"e{i + 1}" for i in range(n)
         )
@@ -50,12 +52,12 @@ class EvolutionAlgebra:
         for lab in self.labels:
             if not _nameable(lab):
                 raise ValueError(
-                    f"basis label {lab!r} is not a nonempty string without commas or outer whitespace"
+                    f"basis label {lab!r} is empty or has a comma, outer whitespace or a lone surrogate"
                 )
 
     @property
     def n(self):
-        return len(self.squares)
+        return len(self._int_squares)
 
     def index_of(self, label):
         try:
@@ -72,9 +74,13 @@ class EvolutionAlgebra:
         return tuple(linalg.unit_vector(self.field, self.n, i) for i in range(self.n))
 
     @cached_property
-    def _int_squares(self):
-        """The squares as ``linalg`` holds rows: ints in [0, p) over F_p."""
-        return linalg._kernel_rows(self.field, self.squares)
+    def squares(self):
+        """The squares as field-element rows: the row store ``_int_squares``
+        (rows as ``linalg`` holds them) itself over Q, ``Residue`` rows over
+        F_p built when first read."""
+        if self.field.order is None:
+            return self._int_squares
+        return tuple(tuple(map(self.field.from_int, row)) for row in self._int_squares)
 
     def zero_vector(self):
         return tuple(self.field.zero for _ in range(self.n))
@@ -135,7 +141,7 @@ class EvolutionAlgebra:
         keep = [j for j in range(self.n) if j not in h]
         if not keep:
             raise ValueError("quotient by the full vertex set is zero-dimensional")
-        squares = [[self.squares[j][k] for k in keep] for j in keep]
+        squares = [[self._int_squares[j][k] for k in keep] for j in keep]
         return EvolutionAlgebra(
             self.field, squares, tuple(self.labels[j] for j in keep)
         )
@@ -145,12 +151,12 @@ class EvolutionAlgebra:
             return NotImplemented
         return (
             self.field == other.field
-            and self.squares == other.squares
+            and self._int_squares == other._int_squares
             and self.labels == other.labels
         )
 
     def __hash__(self):
-        return hash((self.field, self.squares, self.labels))
+        return hash((self.field, self._int_squares, self.labels))
 
     def __repr__(self):
         return f"EvolutionAlgebra(n={self.n}, field={self.field.name})"

@@ -279,7 +279,7 @@ def simplicity_verdicts(algebra):
         "graph_simple": graph_simple,
         "method": method,
         "proper_nonzero_ideal_found": witness is not None,
-        "witness": None if witness is None else _row_strings(algebra, witness.basis),
+        "witness": None if witness is None else _row_strings(algebra, witness._rows),
     }
 
 
@@ -338,7 +338,7 @@ def cmd_ideal(args):
     criterion = ideal.maximality_criterion() if ideal.is_proper else None
     obj = {
         "dim": ideal.dim,
-        "basis": _row_strings(A, ideal.subspace.basis),
+        "basis": _row_strings(A, ideal.subspace._rows),
         "hereditary_vertices": _labels(A, ideal.hereditary_vertices),
         "basis_vertices": _labels(A, ideal.basis_vertices()),
         "absorption": ideal.has_absorption(),

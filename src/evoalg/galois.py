@@ -598,7 +598,7 @@ def _algebra_summary(algebra):
         "field": algebra.field.json_descriptor(),
         "perfect": algebra.is_perfect(),
         "degenerate": algebra.is_degenerate(),
-        "squares": _row_strings(algebra, algebra.squares),
+        "squares": _row_strings(algebra, algebra._int_squares),
     }
 
 
@@ -644,7 +644,7 @@ def _shown(algebra, x):
     if isinstance(x, frozenset):
         return _labels(algebra, x)
     if isinstance(x, Ideal):
-        return _row_strings(algebra, x.subspace.basis)
+        return _row_strings(algebra, x.subspace._rows)
     if isinstance(x, list):
         return [_shown(algebra, item) for item in x]
     return x

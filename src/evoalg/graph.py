@@ -367,6 +367,6 @@ def associated_graph(algebra) -> Digraph:
     nonzero."""
     out = [
         [j for j, x in enumerate(sq) if x]
-        for sq in algebra.squares
+        for sq in algebra._int_squares
     ]
     return Digraph(algebra.n, out, algebra.labels)

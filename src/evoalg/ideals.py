@@ -202,11 +202,11 @@ def ideal_closure(algebra, generators) -> Ideal:
     gens = [linalg._coerce_row(field, v, n) for v in generators]
     tree = algebra.graph.tree(_column_support(gens))
     if len(tree) < n:
-        rows = gens + [algebra._int_squares[j] for j in sorted(tree)]
+        rows = gens + [list(algebra._int_squares[j]) for j in sorted(tree)]
     elif algebra.square_span.is_full:
         return Ideal(algebra, algebra.square_span, _validated=True)
     else:
-        rows = [*algebra.square_span._rows, *gens]
+        rows = [*map(list, algebra.square_span._rows), *gens]
     return Ideal(algebra, linalg._span(field, n, rows), _validated=True)
 
 
@@ -236,8 +236,7 @@ def _hyperplanes_over_square_span(algebra):
     each is a maximal ideal.  With d the last index where a functional φ
     vanishing on the square span is nonzero, ker φ has the rows
     e_j - (φ_j/φ_d)·e_d for j != d, pivoted at j (φ_j = 0 for j > d, so no
-    row has an entry before its pivot).  The other entries are sliced from
-    the algebra's shared unit rows."""
+    row has an entry before its pivot), as int rows."""
     A = algebra
     n, p = A.n, A.field.order
     functionals = linalg._kernel_rows(A.field, linalg.nullspace(A.field, n, A.square_span._rows))
@@ -253,11 +252,13 @@ def _hyperplanes_over_square_span(algebra):
         phi = [sum(c * f for c, f in zip(coeffs, col)) % p for col in zip(*functionals)]
         d = max(k for k in range(n) if phi[k])
         scale = -pow(phi[d], -1, p)
-        yield [
-            A.unit(j)[:d] + (A.field.from_int(scale * phi[j]),) + A.unit(j)[d + 1 :]
-            for j in range(n)
-            if j != d
-        ]
+        rows = []
+        for j in range(n):
+            if j != d:
+                row = [0] * n
+                row[j], row[d] = 1, scale * phi[j] % p
+                rows.append(row)
+        yield rows
 
 
 def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
@@ -279,7 +280,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         "perfect": A.is_perfect(),
         "square_span_dim": sq.dim,
         "square_span_codim": codim,
-        "square_span_basis": _row_strings(A, sq.basis),
+        "square_span_basis": _row_strings(A, sq._rows),
     }
 
     finite = A.field.order is not None
@@ -289,7 +290,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         family = {
             "kind": "unique",
             "count": 1,
-            "ideals": [_row_strings(A, sq.basis)],
+            "ideals": [_row_strings(A, sq._rows)],
         }
     elif finite:
         p = A.field.order
@@ -343,8 +344,9 @@ def find_proper_nonzero_ideal(algebra):
 
 
 def _row_strings(algebra, rows):
-    """Vectors as lists of exact scalar strings, as the reports print them."""
-    return [[algebra.field.format(x) for x in row] for row in rows]
+    """Row-store rows as lists of exact scalar strings, as reports print them."""
+    fmt = algebra.field.format if algebra.field.order is None else str
+    return [list(map(fmt, row)) for row in rows]
 
 
 def _labels(algebra, vertices):

@@ -14,8 +14,9 @@ Each input row is coerced once; over F_p rows are combined with
 over F_p the :class:`Residue` rows of ``basis`` are built only when it is
 first read.  Reduced echelon rows are zero in every other pivot column, so
 reducing a vector against a basis and combining basis rows in ``intersect``
-touch only the nonzero entries of each basis row over Q, updating a list
-that the call itself made; elimination still rebuilds whole rows.
+touch only the nonzero entries of each basis row, updating a list that the
+call itself made.  Over F_p elimination, too, updates each row in place at
+the nonzero columns of the pivot row; over Q it still rebuilds whole rows.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def _kernel_rows(field, rows):
 
 def _eliminate(rows, ncols, p):
     """Gauss-Jordan elimination of ``rows`` in place, over Q when ``p`` is
-    None and over F_p on ints in [0, p) otherwise.  Returns the pivot
-    columns; the first ``len(pivots)`` rows are then the reduced basis."""
+    None and over F_p on ints in [0, p) otherwise, there updating each list
+    only at the pivot row's nonzero columns.  Returns the pivot columns; the
+    first ``len(pivots)`` rows are then the reduced basis."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -98,13 +100,15 @@ def _eliminate(rows, ncols, p):
                 inv = pow(prow[c], -1, p)
                 prow = [inv * x % p for x in prow]
             rows[r] = prow
+        nonzero = () if p is None else [(j, b) for j, b in enumerate(prow) if b]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
                 if p is None:
                     rows[i] = [a - f * b for a, b in zip(row, prow)]
                 else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+                    for j, b in nonzero:
+                        row[j] = (row[j] - f * b) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -120,8 +124,8 @@ def rref(field, ambient_dim, vectors):
 
 
 def _span(field, n, rows):
-    """``rref`` of rows already coerced, eliminated in place; the reduced
-    rows become the row store as they are."""
+    """``rref`` of rows already coerced, as lists eliminated in place; the
+    reduced rows become the row store as they are."""
     pivots = tuple(_eliminate(rows, n, field.order))
     s = Subspace(field, n, (), pivots)
     s._rows = tuple(tuple(row) for row in rows[: len(pivots)])
@@ -188,7 +192,9 @@ class Subspace:
                         if b:
                             w[j] -= f * b
                 else:
-                    w = [(a - f * b) % p for a, b in zip(w, row)]
+                    for j, b in enumerate(row):
+                        if b:
+                            w[j] = (w[j] - f * b) % p
         return w
 
     def contains(self, vec):

@@ -9,8 +9,12 @@ from evoalg import (
     QQ,
     EvolutionAlgebra,
     InputError,
+    PrimeField,
+    Residue,
     algebra_from_document,
     algebra_to_document,
+    maximal_ideals_report,
+    run_theorem_suite,
 )
 
 from helpers import (
@@ -191,7 +195,7 @@ def test_dimension_cap_and_label_validation():
 @pytest.mark.parametrize(
     "labels, bad",
     [(["a b", "é"], None), (["a,b", "c"], "a,b"), ([" c", "d"], " c"), (["c", "d\t"], "d\t"),
-     (["", "x"], ""), (["x", 1], 1)],
+     (["", "x"], ""), (["x", 1], 1), (["\ud800", "b"], "\ud800"), (["a", "x\udce9"], "x\udce9")],
 )
 def test_constructor_and_documents_accept_the_same_labels(labels, bad):
     # One label rule for both, so every algebra that can be built can be
@@ -218,3 +222,53 @@ def test_algebras_hash_by_value_and_show_their_size_and_field():
     assert A is not B and hash(A) == hash(B) and {A: "six"}[B] == "six"
     assert repr(A) == "EvolutionAlgebra(n=6, field=Q)"
     assert repr(zero_algebra(2, GF2)) == "EvolutionAlgebra(n=2, field=F2)"
+
+
+@pytest.mark.parametrize("label", ["\ud800", "a\udfffb", "\udce9", "é", "\U0001f600", "?", "\ufffd"])
+def test_every_constructed_algebra_round_trips_through_its_document(label):
+    # A label is accepted exactly when it encodes as UTF-8, which a document
+    # needs; the document keeps its own message for the others.
+    try:
+        label.encode()
+    except UnicodeEncodeError:
+        with pytest.raises(ValueError, match=f"basis label {re.escape(repr(label))}"):
+            EvolutionAlgebra(QQ, [[0, 1], [0, 0]], [label, "b"])
+        doc = {"field": "Q", "dim": 2, "basis": [label, "b"], "squares": {}}
+        with pytest.raises(InputError, match="basis labels must encode as UTF-8"):
+            algebra_from_document(doc)
+        return
+    A = EvolutionAlgebra(QQ, [[0, 1], [0, 0]], [label, "b"])
+    assert algebra_from_document(algebra_to_document(A)) == A
+
+
+def test_prime_field_algebras_keep_int_squares_and_build_residues_on_read():
+    F5 = PrimeField(5)
+    # Two zero squares leave the square span of codimension at least two, so
+    # the maximal-ideal report lists a family of hyperplanes.
+    raw = [[0, 6, -1, 0, 0], [0, 0, 2, 0, 13], [0, 0, 0, 0, 0], [3, 0, 0, 7, -5], [0, 0, 0, 0, 0]]
+    labels = ["a", "b", "c", "d", "e"]
+    built = [
+        EvolutionAlgebra(F5, raw, labels),
+        EvolutionAlgebra(F5, [[Residue(x, 5) for x in row] for row in raw], labels),
+        EvolutionAlgebra(F5, [[str(x) for x in row] for row in raw], labels),
+    ]
+    expected = tuple(tuple(x % 5 for x in row) for row in raw)
+    for A in built:
+        assert A == built[0] and hash(A) == hash(built[0])
+        assert A._int_squares == expected
+        assert all(type(x) is int for row in A._int_squares for x in row)
+        A.graph, A.square_span
+        report = maximal_ideals_report(A)
+        assert report["hyperplane_family"]["count"] == 6
+        run_theorem_suite(A)
+        assert "squares" not in vars(A)
+        assert A.squares == tuple(tuple(Residue(x, 5) for x in row) for row in expected)
+        assert A.squares is A.squares
+    A = built[0]
+    for h in A.graph.hereditary_sets():
+        keep = [j for j in range(A.n) if j not in h]
+        if keep:
+            sliced = [[A.squares[j][k] for k in keep] for j in keep]
+            Q = A.quotient_by_hereditary(h)
+            assert Q == EvolutionAlgebra(F5, sliced, [labels[j] for j in keep])
+            assert "squares" not in vars(Q)

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoalg import GF2, QQ, InputError, PrimeField, Residue, Subspace, rref, unit_vector
+from evoalg import (
+    GF2,
+    QQ,
+    EvolutionAlgebra,
+    InputError,
+    PrimeField,
+    Residue,
+    Subspace,
+    ideal_closure,
+    rref,
+    unit_vector,
+)
 from evoalg.linalg import coerce_vector, nullspace, support, zero_subspace
 
 from helpers import six_dim_branching
@@ -214,20 +225,26 @@ def _reference_intersect(field, n, u, w):
 @st.composite
 def _fp_rows(draw, p, n):
     """Rows of raw ints (negative, or past p), scalar strings, residues and
-    bools; half the time drawn as combinations of fewer generators, so the
-    rank falls short."""
+    bools, half the time mostly zero as in ``_q_rows``; half the time drawn
+    as combinations of fewer generators, so the rank falls short."""
     entry = st.one_of(st.integers(-2 * p, 2 * p), st.integers(-(2**70), 2**70))
+    mostly_zero = draw(st.booleans())
+
+    def row(width):
+        if not mostly_zero:
+            return draw(st.lists(entry, min_size=width, max_size=width))
+        cols = draw(st.sets(st.integers(0, width - 1), max_size=2))
+        return [draw(entry) if j in cols else 0 for j in range(width)]
+
     k = draw(st.integers(0, 6))
     if draw(st.booleans()):
-        gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
-        rows = [
-            [sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(n)]
-            for coefs in draw(
-                st.lists(st.lists(entry, min_size=len(gens), max_size=len(gens)), min_size=k, max_size=k)
-            )
-        ]
+        gens = [row(n) for _ in range(draw(st.integers(1, 3)))]
+        rows = []
+        for _ in range(k):
+            coefs = row(len(gens))
+            rows.append([sum(c * g[j] for c, g in zip(coefs, gens)) for j in range(n)])
     else:
-        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [row(n) for _ in range(k)]
     kinds = draw(st.lists(st.sampled_from(("int", "str", "residue", "bool")), min_size=n, max_size=n))
     cast = {"int": lambda x: x, "str": str, "residue": lambda x: Residue(x, p), "bool": lambda x: x % 2 == 1}
     return [[cast[kind](x) for kind, x in zip(kinds, row)] for row in rows]
@@ -411,3 +428,31 @@ def test_mod_p_kernel_rejects_a_foreign_modulus():
             call((Residue(1, 3), 0))
     with pytest.raises(ValueError):
         rref(F5, 2, [(1, 0), (1,)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_eliminations_leave_row_stores_and_input_rows_unchanged(field):
+    # Elimination over F_p updates rows in place, so it must write only into
+    # rows that the call itself made: never into an algebra's squares, a
+    # kept square span or the caller's rows.
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        squares = [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, 2)):
+            squares[i] = [0] * n
+        A = EvolutionAlgebra(field, squares)
+        rows = [[rng.choice((0, 0, 1, 3)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        int_squares, span = A._int_squares, A.square_span
+        kept = (list(int_squares), list(span._rows), [list(r) for r in rows])
+        other = rref(field, n, rows)
+        other_rows = other._rows
+        ideal_closure(A, rows)
+        ideal_closure(A, [[1] * n])
+        span.sum(other)
+        other.sum(span)
+        rref(field, n, rows)
+        rref(field, n, span._rows + tuple(rows))
+        assert A._int_squares is int_squares and A.square_span is span and other._rows is other_rows
+        assert (list(int_squares), list(span._rows), rows) == kept
+        assert other == rref(field, n, kept[2])
