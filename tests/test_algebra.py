@@ -195,7 +195,7 @@ def test_dimension_cap_and_label_validation():
 @pytest.mark.parametrize(
     "labels, bad",
     [(["a b", "é"], None), (["a,b", "c"], "a,b"), ([" c", "d"], " c"), (["c", "d\t"], "d\t"),
-     (["", "x"], ""), (["x", 1], 1), (["\ud800", "b"], "\ud800"), (["a", "x\udce9"], "x\udce9")],
+     (["", "x"], ""), (["x", 1], 1)],
 )
 def test_constructor_and_documents_accept_the_same_labels(labels, bad):
     # One label rule for both, so every algebra that can be built can be
