@@ -74,6 +74,11 @@ class EvolutionAlgebra:
         return tuple(linalg.unit_vector(self.field, self.n, i) for i in range(self.n))
 
     @cached_property
+    def _int_units(self):
+        """The unit rows of the row store, shared by every vertex span."""
+        return linalg._kernel_rows(self.field, self._units)
+
+    @cached_property
     def squares(self):
         """The squares as field-element rows: the row store ``_int_squares``
         (rows as ``linalg`` holds them) itself over Q, ``Residue`` rows over

@@ -5,8 +5,9 @@ The two directions of the correspondence:
 * ``ideal_from_hereditary``: a hereditary vertex set H spans the ideal with
   basis ``{e_i : i in H}``; this is always an ideal admitting a natural basis
   that extends to the whole algebra.
-* ``Ideal.hereditary_vertices``: the set of basis indices whose square lies in
-  the ideal; always hereditary, and it contains every sink.
+* ``Ideal.hereditary_vertices``: the set H(I) of basis indices whose square
+  lies in the ideal; always hereditary, it holds every sink and, since
+  ``e_i x = x_i e_i^2``, every index where some member of I is nonzero.
 
 The ideal generated by a set X is read off the graph: it is the span of X and
 the squares ``e_j^2`` for every j in the tree of supp(X) (``ideal_closure``).
@@ -14,6 +15,10 @@ the squares ``e_j^2`` for every j in the tree of supp(X) (``ideal_closure``).
 An ideal has the *absorption property* when ``x A inside I`` forces ``x in I``;
 for evolution algebras this is equivalent to the ideal being exactly the span
 of the basis vertices carried by its hereditary set.
+
+Maximality is read off the graph too: A^2, spanned by the squares, lies in an
+ideal I exactly when H(I) is every vertex, and for a hereditary set B,
+span(B) + A^2 = A exactly when the quotient A/span(B) is perfect.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 from . import linalg
 # ``rref`` is not called here; it is bound as ``ideals.rref`` for code that
 # reads it from this module, such as perfbench/tracer.py.
-from .linalg import Subspace, rref, support  # noqa: F401
+from .linalg import rref, support  # noqa: F401
 
 __all__ = [
     "Ideal",
@@ -90,9 +95,15 @@ class Ideal:
 
     @cached_property
     def hereditary_vertices(self):
-        """Indices whose square lies in the ideal; always hereditary."""
-        squares = self.algebra._int_squares
-        return frozenset(i for i, sq in enumerate(squares) if self.subspace.contains(sq))
+        """Indices whose square lies in the ideal; always hereditary.  Since
+        ``e_i x = x_i e_i^2``, that is every index of the column support S,
+        and membership is tested only for the others whose out(i) lies in S."""
+        s, A = self.subspace, self.algebra
+        cols = _column_support(s._rows)
+        return cols | frozenset(
+            i for i, out in enumerate(A.graph.out)
+            if i not in cols and cols.issuperset(out) and s.contains(A._int_squares[i])
+        )
 
     def basis_vertices(self):
         """Indices whose unit vector lies in the ideal; a subset of
@@ -125,27 +136,25 @@ class Ideal:
         return len(self.basis_vertices()) == self.dim
 
     def is_maximal(self):
-        """Maximality of a proper ideal.
-
-        Either the ideal is a hyperplane containing the square span, or it is
-        the vertex span of a maximal hereditary set and together with the
-        square span fills the algebra.
-        """
+        """Maximality of a proper ideal, by ``maximality_criterion``."""
         return self.maximality_criterion() is not None
 
     def maximality_criterion(self):
+        """Why a proper ideal I is maximal, or None.  Either I is a hyperplane
+        containing the square span, which it contains exactly when H(I) is
+        every vertex, or I is the vertex span of a maximal hereditary set B
+        and fills the algebra with the square span, exactly when A/span(B) is
+        perfect."""
         if not self.is_proper:
             raise ValueError("maximality is only defined for proper ideals")
         A = self.algebra
-        sq = A.square_span
-        if self.subspace.contains_subspace(sq):
+        if len(self.hereditary_vertices) == A.n:
             return CRITERION_HYPERPLANE if self.codim == 1 else None
         # With absorption I = span(B), so H(I) = {i : out(i) inside B} = B.
         if not self.has_absorption():
             return None
-        if self.basis_vertices() not in A.graph.maximal_hereditary_sets():
-            return None
-        if self.subspace.sum(sq).is_full:
+        b = self.basis_vertices()
+        if b in A.graph.maximal_hereditary_sets() and _quotient_is_perfect(A, b):
             return CRITERION_MAX_HEREDITARY
         return None
 
@@ -161,20 +170,26 @@ class Ideal:
         return f"Ideal(dim={self.dim}, ambient={self.algebra.n})"
 
 
-def _vertex_span(algebra, vertices):
-    """span{e_i : i in vertices}; its reduced echelon basis is those unit
-    vectors in index order, pivoted at their own indices."""
-    pivots = tuple(sorted(vertices))
-    basis = tuple(algebra.unit(i) for i in pivots)
-    return Subspace(algebra.field, algebra.n, basis, pivots)
+def _quotient_is_perfect(algebra, hereditary):
+    """Whether A/span(B) is perfect for a hereditary B: whether the squares
+    over C = V - B, read at C, have full rank (for B empty, A^2 itself)."""
+    if not hereditary:
+        return algebra.square_span.is_full
+    c = [i for i in range(algebra.n) if i not in hereditary]
+    block = [[algebra._int_squares[j][k] for k in c] for j in c]
+    return linalg._span(algebra.field, len(c), block).is_full
 
 
 def ideal_from_hereditary(algebra, hereditary) -> Ideal:
-    """The span of the unit vectors of a hereditary set, as an ideal."""
+    """The span of the unit vectors of a hereditary set, as an ideal.  Its
+    reduced echelon basis is those unit vectors in index order, pivoted at
+    their own indices: rows of the algebra's shared unit row store."""
     h = frozenset(hereditary)
     if not algebra.graph.is_hereditary(h):
         raise ValueError("vertex set is not hereditary")
-    return Ideal(algebra, _vertex_span(algebra, h), _validated=True)
+    pivots = tuple(sorted(h))
+    rows = tuple(algebra._int_units[i] for i in pivots)
+    return Ideal(algebra, linalg._from_rows(algebra.field, algebra.n, rows, pivots), _validated=True)
 
 
 def hereditary_from_ideal(algebra, subspace) -> frozenset:

@@ -127,9 +127,14 @@ def _span(field, n, rows):
     """``rref`` of rows already coerced, as lists eliminated in place; the
     reduced rows become the row store as they are."""
     pivots = tuple(_eliminate(rows, n, field.order))
+    return _from_rows(field, n, tuple(tuple(row) for row in rows[: len(pivots)]), pivots)
+
+
+def _from_rows(field, n, rows, pivots):
+    """The subspace whose row store is ``rows``, reduced tuples, as they are."""
     s = Subspace(field, n, (), pivots)
-    s._rows = tuple(tuple(row) for row in rows[: len(pivots)])
-    s._basis = s._rows if field.order is None else None
+    s._rows = rows
+    s._basis = rows if field.order is None else None
     return s
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from evoalg import GF2, QQ, EvolutionAlgebra, PrimeField, algebra_to_document
-from evoalg import galois, linalg
+from evoalg import galois, ideals, linalg
 from evoalg.cli import main
 from evoalg.graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from evoalg.galois import (
@@ -18,6 +18,7 @@ from evoalg.galois import (
     run_theorem_suite,
 )
 from evoalg.ideals import ideal_closure, ideal_from_hereditary
+from evoalg.oracle import certify_fast_vs_brute
 
 from helpers import (
     LYING_PREDICATES,
@@ -25,6 +26,7 @@ from helpers import (
     disjoint_pairs,
     double_loop_pair,
     four_dim_degenerate_funnel,
+    four_dim_non_maximal_span,
     six_dim_branching,
     three_dim_perfect,
     two_cycle,
@@ -270,8 +272,11 @@ def lying_predicates(monkeypatch):
 
 
 def test_failure_witnesses_are_pinned(lying_predicates):
-    # Hereditary-set, hereditary-pair, ideal, ideal-pair and maximal-ideal
-    # laws all fail here; each keeps its first counterexample in suite order.
+    # Hereditary-set, hereditary-pair, ideal and ideal-pair laws fail here;
+    # each keeps its first counterexample in suite order.  No maximal-ideal
+    # law fails: H(I) takes the column support of I without a membership
+    # test, so the lie about the zero square of the sink e4 never reaches
+    # the cover check of a maximal ideal holding e4.
     report = run_theorem_suite(four_dim_degenerate_funnel(), trials=2, seed=0)
     failing = {
         p.name: (p.checked, p.failed, p.not_applicable, p.witness)
@@ -281,13 +286,14 @@ def test_failure_witnesses_are_pinned(lying_predicates):
     e1, e2, e3, e4 = (["1", "0", "0", "0"], ["0", "1", "0", "0"],
                       ["0", "0", "1", "0"], ["0", "0", "0", "1"])
     assert failing == {
-        "vertices_of_ideal_intersection": (78, 9, 0, {"I": [e3], "J": [e1, e2, e3, e4]}),
-        "galois_expansions": (22, 12, 0, {"I": [e4]}),
-        "closure_full_iff_squares_inside": (12, 9, 0, {"I": [e3]}),
-        "saturation_fixed_point": (10, 5, 0, {"H": []}),
-        "vertex_trace_saturated": (2, 2, 10, {"I": []}),
-        "absorption_equivalences": (12, 4, 0, {"I": []}),
-        "maximal_cover_check": (5, 4, 0, {"I": [e1, e3, e4]}),
+        "vertices_of_ideal_intersection": (
+            78, 4, 0, {"I": [e4], "J": [["1", "0", "0", "4/3"], ["0", "1", "0", "-1/3"], e3]}
+        ),
+        "galois_expansions": (22, 6, 0, {"I": [e3, e4]}),
+        "closure_full_iff_squares_inside": (12, 5, 0, {"I": [e3]}),
+        "saturation_fixed_point": (10, 7, 0, {"H": []}),
+        "vertex_trace_saturated": (4, 4, 8, {"I": []}),
+        "absorption_equivalences": (12, 2, 0, {"I": []}),
         "vertex_span_strictly_monotone": (45, 8, 10, {"H": ["e3"], "H'": ["e1", "e2", "e3", "e4"]}),
         "saturated_closure_minimal": (10, 10, 0, {"H": []}),
     }
@@ -302,26 +308,22 @@ def test_fuzz_failures_are_pinned(lying_predicates):
     empty_h, empty_i = {"H": []}, {"I": []}
     expected = [
         (0, "galois_expansions", full3),
+        (0, "closure_full_iff_squares_inside", full3),
         (0, "saturation_fixed_point", empty_h),
         (0, "vertex_trace_saturated", empty_i),
         (0, "absorption_iff_saturated", empty_h),
-        (0, "absorption_equivalences", full3),
-        (0, "perfect_ideal_conclusions", full3),
+        (0, "adjunction_full_perfect", {"H": ["e1", "e2", "e3"], **full3}),
         (0, "saturated_closure_minimal", empty_h),
-        (1, "vertices_of_ideal_intersection", {**full2, "J": [["1", "1"]]}),
-        (1, "galois_expansions", full2),
-        (1, "saturation_fixed_point", empty_h),
-        (1, "vertex_trace_saturated", empty_i),
-        (1, "absorption_iff_saturated", empty_h),
-        (1, "absorption_equivalences", full2),
-        (1, "saturated_closure_minimal", empty_h),
-        (2, "galois_expansions", full2),
-        (2, "saturation_fixed_point", empty_h),
-        (2, "vertex_trace_saturated", empty_i),
-        (2, "absorption_iff_saturated", empty_h),
-        (2, "absorption_equivalences", full2),
-        (2, "saturated_closure_minimal", empty_h),
     ]
+    for k in (1, 2):
+        expected += [
+            (k, "galois_expansions", full2),
+            (k, "closure_full_iff_squares_inside", full2),
+            (k, "saturation_fixed_point", empty_h),
+            (k, "vertex_trace_saturated", empty_i),
+            (k, "absorption_iff_saturated", empty_h),
+            (k, "saturated_closure_minimal", empty_h),
+        ]
     assert report.failures == [
         {"algebra_index": k, "property": name, "witness": witness}
         for k, name, witness in expected
@@ -378,6 +380,32 @@ def test_cross_and_verdict_laws_catch_mutants(monkeypatch, mutant, failing):
         if p.name in _PASS
     }
     assert got == {**_PASS, **failing}
+
+
+def test_a_flipped_quotient_rank_is_caught(monkeypatch):
+    # Answering the opposite of "A/span(B) is perfect" calls the vertex span
+    # of a maximal hereditary set B maximal exactly when it is not: span(e1,
+    # e2) of the non-maximal span algebra joins the maximal ideals, and the
+    # zero ideal of the simple two-cycle (B empty) leaves them.  The suite's
+    # two maximal-ideal laws hold for the vertex span of every maximal
+    # hereditary set, so only their counts move; the oracle's comparison
+    # with the brute-force maximal ideals fails on both algebras over F2.
+    def maximal_laws(A):
+        report = run_theorem_suite(A, trials=2, seed=0)
+        laws = ("maximal_absorption", "maximal_cover_check")
+        return [(p.checked, p.failed) for p in report.properties if p.name in laws]
+
+    algebras = (four_dim_non_maximal_span(), two_cycle())
+    assert [maximal_laws(A) for A in algebras] == [[(0, 0), (1, 0)], [(1, 0), (1, 0)]]
+    rank_test = ideals._quotient_is_perfect
+    monkeypatch.setattr(ideals, "_quotient_is_perfect", lambda A, b: not rank_test(A, b))
+    assert [maximal_laws(A) for A in algebras] == [[(1, 0), (2, 0)], [(0, 0), (0, 0)]]
+    non_maximal_span = [[1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [1, 0, 1, 1]]
+    for A in (EvolutionAlgebra(GF2, non_maximal_span), two_cycle(GF2)):
+        assert certify_fast_vs_brute(A)["mismatches"] == [
+            "is_maximal mismatch",
+            "maximal_ideals_report is complete but lists other ideals",
+        ]
 
 
 def test_trace_that_is_not_hereditary_fails_its_law(monkeypatch, tmp_path, capsys):

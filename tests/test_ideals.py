@@ -18,6 +18,7 @@ from evoalg.ideals import (
 )
 from evoalg.oracle import (
     RandomSpec,
+    brute_force_ideals,
     certify_fast_vs_brute,
     random_algebra,
     random_perfect_algebra,
@@ -144,11 +145,18 @@ def test_hereditary_vertices_of_zero_ideal():
     assert ideal_closure(A, []).hereditary_vertices == frozenset()
 
 
-def test_vertex_spans_share_the_unit_rows():
-    A = zero_algebra(10)
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_vertex_spans_share_the_unit_rows(field):
+    A = zero_algebra(10, field)
     assert all(A.unit(i) is A.unit(i) for i in range(A.n))
-    basis = ideal_from_hereditary(A, {1, 4}).subspace.basis
-    assert basis[0] is A.unit(1) and basis[1] is A.unit(4)
+    span = ideal_from_hereditary(A, {1, 4}).subspace
+    # Over F_p the row store holds the algebra's int unit rows; over Q those
+    # are the unit rows themselves, and so is the basis.
+    assert span._rows[0] is A._int_units[1] and span._rows[1] is A._int_units[4]
+    if field is QQ:
+        assert span.basis[0] is A.unit(1) and span.basis[1] is A.unit(4)
+    else:
+        assert span._rows == ((0, 1) + (0,) * 8, (0,) * 4 + (1,) + (0,) * 5)
     # The spans of all 1,024 hereditary sets build no rows of their own:
     # 0.3 MiB here, 0.9 MiB with a fresh row per vertex of each span.
     hereditary = A.graph.hereditary_sets()
@@ -160,6 +168,65 @@ def test_vertex_spans_share_the_unit_rows():
         tracemalloc.stop()
     assert len(spans) == 1024
     assert held < 0.5 * 2**20
+
+
+def _literal_hereditary_vertices(ideal):
+    """H(I) by one membership test per vertex."""
+    return frozenset(i for i, sq in enumerate(ideal.algebra.squares) if ideal.contains(sq))
+
+
+def _literal_maximality_criterion(ideal):
+    """``maximality_criterion`` testing A^2 inside I and span(B) + A^2 = A
+    on the subspaces themselves."""
+    A, sq = ideal.algebra, ideal.algebra.square_span
+    if ideal.subspace.contains_subspace(sq):
+        return CRITERION_HYPERPLANE if ideal.codim == 1 else None
+    if not ideal.has_absorption():
+        return None
+    if ideal.basis_vertices() not in A.graph.maximal_hereditary_sets():
+        return None
+    return CRITERION_MAX_HEREDITARY if ideal.subspace.sum(sq).is_full else None
+
+
+def _graph_reading_algebra(rng, field, kind):
+    """A seeded random algebra of dimension 2 to 6: as drawn, with 1 to n - 1
+    squares forced to zero, or strongly connected through the cycle
+    0 -> 1 -> ... -> 0."""
+    n = rng.randint(2, 6)
+    squares = [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.4 else 0 for _ in range(n)]
+               for _ in range(n)]
+    if kind == "sinks":
+        for i in rng.sample(range(n), rng.randint(1, n - 1)):
+            squares[i] = [0] * n
+    elif kind == "strongly connected":
+        for i in range(n):
+            squares[i][(i + 1) % n] = squares[i][(i + 1) % n] or 1
+    return EvolutionAlgebra(field, squares)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, PrimeField(3), PrimeField(5)])
+def test_graph_reading_matches_the_membership_scan(field):
+    # H(I) read off the column support and the graph, and maximality read off
+    # H(I) and the rank of the quotient's squares, agree with the literal
+    # tests on vertex spans, closures, A^2, meets and, at the oracle's sizes,
+    # every brute-force ideal.
+    rng = random.Random(29)
+    oracle_dim = {2: 4, 3: 3, 5: 2}.get(field.order, 0)
+    for k in range(30):
+        A = _graph_reading_algebra(rng, field, ("drawn", "sinks", "strongly connected")[k % 3])
+        found = [ideal_from_hereditary(A, h) for h in A.graph.hereditary_sets()]
+        found += [_random_ideal(rng, A) for _ in range(4)]
+        found.append(Ideal(A, A.square_span, _validated=True))
+        found += [
+            Ideal(A, rng.choice(found).subspace.intersect(rng.choice(found).subspace), _validated=True)
+            for _ in range(6)
+        ]
+        if A.n <= oracle_dim:
+            found += [Ideal(A, s, _validated=True) for s in brute_force_ideals(A)]
+        for ideal in found:
+            assert ideal.hereditary_vertices == _literal_hereditary_vertices(ideal), (A, ideal)
+            if ideal.is_proper:
+                assert ideal.maximality_criterion() == _literal_maximality_criterion(ideal), (A, ideal)
 
 
 def test_hereditary_vertices_with_empty_basis_trace():
