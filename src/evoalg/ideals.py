@@ -141,10 +141,9 @@ class Ideal:
 
     def maximality_criterion(self):
         """Why a proper ideal I is maximal, or None.  Either I is a hyperplane
-        containing the square span, which it contains exactly when H(I) is
-        every vertex, or I is the vertex span of a maximal hereditary set B
-        and fills the algebra with the square span, exactly when A/span(B) is
-        perfect."""
+        holding A^2, which it holds exactly when H(I) is every vertex, or I
+        is the vertex span of a maximal hereditary set B and span(B) + A^2
+        fills the algebra, which it does exactly when A/span(B) is perfect."""
         if not self.is_proper:
             raise ValueError("maximality is only defined for proper ideals")
         A = self.algebra
