@@ -262,10 +262,7 @@ class _Ctx:
         # A range, not a list: a prime field may have up to 2^31 elements.
         pool = range(-2, 3) if A.field.order is None else range(A.field.order)
         for _ in range(trials):
-            gens = [
-                [A.field.from_int(self.rng.choice(pool)) for _ in range(A.n)]
-                for _ in range(self.rng.randint(1, 3))
-            ]
+            gens = [[self.rng.choice(pool) for _ in range(A.n)] for _ in range(self.rng.randint(1, 3))]
             add(ideal_closure(A, gens))
         return list(seen.values())
 

@@ -170,13 +170,8 @@ class Ideal:
 
 
 def _quotient_is_perfect(algebra, hereditary):
-    """Whether A/span(B) is perfect for a hereditary B: whether the squares
-    over C = V - B, read at C, have full rank (for B empty, A^2 itself)."""
-    if not hereditary:
-        return algebra.square_span.is_full
-    c = [i for i in range(algebra.n) if i not in hereditary]
-    block = [[algebra._int_squares[j][k] for k in c] for j in c]
-    return linalg._span(algebra.field, len(c), block).is_full
+    """Whether A/span(B) is perfect for a hereditary B (for B empty, A)."""
+    return (algebra.quotient_by_hereditary(hereditary) if hereditary else algebra).is_perfect()
 
 
 def ideal_from_hereditary(algebra, hereditary) -> Ideal:

@@ -8,15 +8,16 @@ a plain ``==``.
 
 A subspace holds one row store, set when it is built: int rows in [0, p)
 over F_p, the ``Fraction`` rows themselves over Q, both as tuples of tuples.
-Each input row is coerced once; over F_p rows are combined with
-``(a - f * b) % p`` and pivots inverted with ``pow(x, -1, p)``.  ``sum``,
-``intersect``, membership, equality and hashing all run on the row store;
-over F_p the :class:`Residue` rows of ``basis`` are built only when it is
-first read.  Reduced echelon rows are zero in every other pivot column, so
-reducing a vector against a basis and combining basis rows in ``intersect``
-touch only the nonzero entries of each basis row, updating a list that the
-call itself made.  Over F_p elimination, too, updates each row in place at
-the nonzero columns of the pivot row; over Q it still rebuilds whole rows.
+Each input row is coerced once, by a public entry point (``rref``,
+``reduce``, ``contains``); private routines take row-store rows.  Over F_p
+rows are combined with ``(a - f * b) % p`` and pivots inverted with
+``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and hashing
+all run on the row store; over F_p the :class:`Residue` rows of ``basis``
+are built only when it is first read.  Reduced echelon rows are zero in
+every other pivot column, so reduction and the combinations of
+``intersect`` touch only the nonzero entries of each basis row, updating a
+list that the call made.  Over F_p elimination, too, updates rows in place
+at the pivot row's nonzero columns; over Q it still rebuilds whole rows.
 """
 
 from __future__ import annotations
@@ -180,15 +181,14 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of ``vec`` after elimination against the basis."""
-        w = self._residual(vec)
+        w = self._residual(_coerce_row(self.field, vec, self.ambient_dim))
         p = self.field.order
         return tuple(w) if p is None else tuple(Residue(x, p) for x in w)
 
-    def _residual(self, vec):
-        """``reduce`` as a list: ``Fraction`` entries over Q, ints in
-        [0, p) over F_p."""
+    def _residual(self, w):
+        """``w``, a list in row-store form that the caller made, reduced
+        in place against the basis and returned."""
         p = self.field.order
-        w = _coerce_row(self.field, vec, self.ambient_dim)
         for row, c in zip(self._rows, self.pivots):
             f = w[c]
             if f:
@@ -203,10 +203,11 @@ class Subspace:
         return w
 
     def contains(self, vec):
-        # Over F_p the int residual answers without building Residue values.
+        # Over Q through ``reduce``: perfbench/tracer.py requires
+        # ``linalg.reduce`` to be entered on ``kernel`` and ``suite``.
         if self.field.order is None:
             return not any(self.reduce(vec))
-        return not any(self._residual(vec))
+        return not any(self._residual(_coerce_row(self.field, vec, self.ambient_dim)))
 
     def contains_subspace(self, other):
         self._check_compatible(other)
@@ -229,7 +230,7 @@ class Subspace:
         dim U unknowns."""
         self._check_compatible(other)
         u, w = (self, other) if self.dim <= other.dim else (other, self)
-        residuals = [w._residual(row) for row in u._rows]
+        residuals = [w._residual(list(row)) for row in u._rows]
         if not any(map(any, residuals)):
             return u
         pivots = set(w.pivots)

@@ -54,6 +54,12 @@ extracts ``git archive REV src`` into a temporary directory, runs this script
 and ``helpers.py`` on that ``src`` and on the working tree's, prints each
 label whose digest differs (or that only one side has) and exits 1 if any
 does.  It writes nothing inside the repository.
+
+    python tests/output_digests.py --write
+
+writes the listing to ``tests/output_digests.txt`` under a header line
+naming the Python version; ``tests/test_output_listing.py`` compares a fresh
+listing with that file, so a change that alters an output rewrites it.
 """
 
 import argparse
@@ -62,6 +68,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import shutil
 import subprocess
@@ -450,6 +457,22 @@ def digest_listing(script):
     )
 
 
+LISTING = os.path.join(HERE, "output_digests.txt")
+
+
+def version_header():
+    """The listing file's first line: the Python that made it."""
+    return f"# {platform.python_implementation()} {platform.python_version()}"
+
+
+def write_listing():
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        main_digests()
+    with open(LISTING, "w", encoding="utf-8") as fh:
+        fh.write(version_header() + "\n" + listing.getvalue())
+
+
 def labelled(listing):
     """{label: digest} of one listing; the digest is each line's last field."""
     return dict(line.rpartition(" ")[::2] for line in listing.splitlines())
@@ -484,7 +507,11 @@ def against(rev):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Digest every program output.")
     parser.add_argument("--against", metavar="REV", help="list the outputs that differ from REV")
+    parser.add_argument("--write", action="store_true", help="write the listing to output_digests.txt")
     args = parser.parse_args()
     if args.against:
         sys.exit(against(args.against))
-    main_digests()
+    if args.write:
+        write_listing()
+    else:
+        main_digests()

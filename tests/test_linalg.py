@@ -18,6 +18,7 @@ from evoalg import (
     rref,
     unit_vector,
 )
+from evoalg import linalg
 from evoalg.linalg import coerce_vector, nullspace, support, zero_subspace
 
 from helpers import six_dim_branching
@@ -456,3 +457,28 @@ def test_eliminations_leave_row_stores_and_input_rows_unchanged(field):
         assert A._int_squares is int_squares and A.square_span is span and other._rows is other_rows
         assert (list(int_squares), list(span._rows), rows) == kept
         assert other == rref(field, n, kept[2])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_intersect_hands_no_row_store_row_to_coercion(field, monkeypatch):
+    # Operand rows are already in row-store form, so a meet coerces none of
+    # them again; only the public entry points coerce.
+    rng = random.Random(30)
+    pairs = []
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        u, w = (
+            rref(field, n, [[rng.choice((0, 0, 1, 2, -1)) for _ in range(n)] for _ in range(k)])
+            for k in (rng.randint(1, n), rng.randint(1, n))
+        )
+        pairs.append((u, w, u.intersect(w), w.intersect(u)))
+    coerce = linalg._coerce_row
+
+    def guarded(field, vec, n):
+        assert not any(vec is row for row in store), "a row-store row was coerced"
+        return coerce(field, vec, n)
+
+    monkeypatch.setattr(linalg, "_coerce_row", guarded)
+    for u, w, uw, wu in pairs:
+        store = u._rows + w._rows
+        assert u.intersect(w) == uw and w.intersect(u) == wu
