@@ -478,6 +478,12 @@ def labelled(listing):
     return dict(line.rpartition(" ")[::2] for line in listing.splitlines())
 
 
+def differing(old, new):
+    """The labels of two listings whose digests differ or that one lacks."""
+    old, new = labelled(old), labelled(new)
+    return [label for label in {**old, **new} if old.get(label) != new.get(label)]
+
+
 def against(rev):
     """Diff the listing of the working tree against that of ``rev``'s ``src``,
     both made by this script; the exit code is 1 if any label differs."""
@@ -494,13 +500,13 @@ def against(rev):
             digest_listing(os.path.join(work, "tests", "output_digests.py")),
             digest_listing(os.path.abspath(__file__)),
         ]
-        old, new = (labelled(run.communicate()[0]) for run in runs)
+        old, new = (run.communicate()[0] for run in runs)
         if any(run.returncode for run in runs):
             sys.exit("a digest run failed")
-    differ = [label for label in {**old, **new} if old.get(label) != new.get(label)]
+    differ = differing(old, new)
     for label in differ:
         print(label)
-    print(f"{len(differ)} of {len(new)} outputs differ from {rev}")
+    print(f"{len(differ)} of {len(labelled(new))} outputs differ from {rev}")
     return 1 if differ else 0
 
 
