@@ -5,8 +5,9 @@ hereditary and saturated vertex sets, the two maps between hereditary sets and
 ideals, absorption and maximality of ideals, simplicity, and quotients, all
 over exact fields (rationals or prime fields), and certifies the fast
 algorithms against definitional brute force on small prime fields.
-The property suite (``galois``) loads on first use of one of its names, so of
-the CLI commands only ``verify`` and ``fuzz`` import it.
+The brute-force oracle (``oracle``) and the property suite (``galois``) each
+load on first use of one of their names.  The CLI imports ``oracle`` itself,
+and of its commands only ``verify`` and ``fuzz`` import ``galois``.
 """
 
 from .algebra import DIM_CAP, EvolutionAlgebra
@@ -29,18 +30,6 @@ from .ideals import (
     maximal_ideals_report,
 )
 from .linalg import Subspace, nullspace, rref, support, unit_vector
-from .oracle import (
-    RandomSpec,
-    brute_force_absorption,
-    brute_force_hereditary,
-    brute_force_ideals,
-    brute_force_is_ideal,
-    brute_force_maximal_ideals,
-    enumerate_subspaces,
-    gaussian_binomial,
-    random_algebra,
-    random_perfect_algebra,
-)
 
 __version__ = "0.1.0"
 
@@ -94,11 +83,15 @@ __all__ = [
 
 
 def __getattr__(name):
-    """The names of ``__all__`` not bound above are ``galois``'s (PEP 562)."""
-    if name in __all__:
-        from . import galois
-        return getattr(galois, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """The names of ``__all__`` not bound above are ``oracle``'s and
+    ``galois``'s, each module imported on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+    if name in oracle.__all__:
+        return getattr(oracle, name)
+    from . import galois
+    return getattr(galois, name)
 
 
 def __dir__():

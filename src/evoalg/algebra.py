@@ -80,12 +80,9 @@ class EvolutionAlgebra:
 
     @cached_property
     def squares(self):
-        """The squares as field-element rows: the row store ``_int_squares``
-        (rows as ``linalg`` holds them) itself over Q, ``Residue`` rows over
-        F_p built when first read."""
-        if self.field.order is None:
-            return self._int_squares
-        return tuple(tuple(map(self.field.from_int, row)) for row in self._int_squares)
+        """The squares as field-element rows, ``linalg._elements`` of the
+        row store ``_int_squares``: built when first read over F_p."""
+        return linalg._elements(self.field, self._int_squares)
 
     def zero_vector(self):
         return tuple(self.field.zero for _ in range(self.n))

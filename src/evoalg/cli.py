@@ -15,12 +15,12 @@ import json
 import os
 import sys
 
-from . import documents, ideals, oracle
+from . import documents, ideals, linalg, oracle
 from .algebra import DIM_CAP
 from .errors import EnumerationLimitError, InputError
 from .fields import QQ, PrimeField
 from .graph import DEFAULT_ENUM_LIMIT
-from .ideals import _labels, _row_strings
+from .ideals import _labels
 
 __all__ = ["main"]
 
@@ -279,7 +279,7 @@ def simplicity_verdicts(algebra):
         "graph_simple": graph_simple,
         "method": method,
         "proper_nonzero_ideal_found": witness is not None,
-        "witness": None if witness is None else _row_strings(algebra, witness._rows),
+        "witness": None if witness is None else linalg._row_strings(algebra.field, witness._rows),
     }
 
 
@@ -338,7 +338,7 @@ def cmd_ideal(args):
     criterion = ideal.maximality_criterion() if ideal.is_proper else None
     obj = {
         "dim": ideal.dim,
-        "basis": _row_strings(A, ideal.subspace._rows),
+        "basis": linalg._row_strings(A.field, ideal.subspace._rows),
         "hereditary_vertices": _labels(A, ideal.hereditary_vertices),
         "basis_vertices": _labels(A, ideal.basis_vertices()),
         "absorption": ideal.has_absorption(),

@@ -38,14 +38,13 @@ from bisect import bisect_left
 from functools import cache, cached_property, partial
 from itertools import chain, islice, product
 
-from . import oracle
+from . import linalg, oracle
 from .errors import EnumerationLimitError
 from .fields import Record
 from .graph import DEFAULT_ENUM_LIMIT, vertex_set_mask
 from .ideals import (
     Ideal,
     _labels,
-    _row_strings,
     ideal_closure,
     ideal_from_hereditary,
     maximal_ideal_cover_check,
@@ -595,7 +594,7 @@ def _algebra_summary(algebra):
         "field": algebra.field.json_descriptor(),
         "perfect": algebra.is_perfect(),
         "degenerate": algebra.is_degenerate(),
-        "squares": _row_strings(algebra, algebra._int_squares),
+        "squares": linalg._row_strings(algebra.field, algebra._int_squares),
     }
 
 
@@ -641,7 +640,7 @@ def _shown(algebra, x):
     if isinstance(x, frozenset):
         return _labels(algebra, x)
     if isinstance(x, Ideal):
-        return _row_strings(algebra, x.subspace._rows)
+        return linalg._row_strings(algebra.field, x.subspace._rows)
     if isinstance(x, list):
         return [_shown(algebra, item) for item in x]
     return x

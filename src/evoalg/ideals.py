@@ -27,9 +27,9 @@ import itertools
 from functools import cached_property
 
 from . import linalg
-# ``rref`` is not called here; it is bound as ``ideals.rref`` for code that
-# reads it from this module, such as perfbench/tracer.py.
-from .linalg import rref, support  # noqa: F401
+from .linalg import _row_strings, support
+# Not called here: bound as ``ideals.rref`` for perfbench/test_bench.py's rebinding check.
+from .linalg import rref  # noqa: F401
 
 __all__ = [
     "Ideal",
@@ -289,7 +289,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         "perfect": A.is_perfect(),
         "square_span_dim": sq.dim,
         "square_span_codim": codim,
-        "square_span_basis": _row_strings(A, sq._rows),
+        "square_span_basis": _row_strings(A.field, sq._rows),
     }
 
     finite = A.field.order is not None
@@ -299,7 +299,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
         family = {
             "kind": "unique",
             "count": 1,
-            "ideals": [_row_strings(A, sq._rows)],
+            "ideals": [_row_strings(A.field, sq._rows)],
         }
     elif finite:
         p = A.field.order
@@ -308,7 +308,7 @@ def maximal_ideals_report(algebra, hyperplane_limit=1024) -> dict:
             family = {
                 "kind": "family",
                 "count": total,
-                "ideals": [_row_strings(A, rows) for rows in _hyperplanes_over_square_span(A)],
+                "ideals": [_row_strings(A.field, rows) for rows in _hyperplanes_over_square_span(A)],
             }
         else:
             family = {"kind": "family", "count": total, "ideals": None}
@@ -350,12 +350,6 @@ def find_proper_nonzero_ideal(algebra):
     if sq.is_zero or sq.is_full:
         return None
     return Ideal(A, sq, _validated=True)
-
-
-def _row_strings(algebra, rows):
-    """Row-store rows as lists of exact scalar strings, as reports print them."""
-    fmt = algebra.field.format if algebra.field.order is None else str
-    return [list(map(fmt, row)) for row in rows]
 
 
 def _labels(algebra, vertices):

@@ -12,9 +12,12 @@ Each input row is coerced once, by a public entry point (``rref``,
 ``reduce``, ``contains``); private routines take row-store rows.  Over F_p
 rows are combined with ``(a - f * b) % p`` and pivots inverted with
 ``pow(x, -1, p)``.  ``sum``, ``intersect``, membership, equality and hashing
-all run on the row store; over F_p the :class:`Residue` rows of ``basis``
-are built only when it is first read.  Reduced echelon rows are zero in
-every other pivot column, so reduction and the combinations of
+all run on the row store.  Its rows leave it only through ``_elements``, as
+field elements (themselves over Q, :class:`Residue` rows over F_p), and
+``_row_strings``, as report text.  ``coerce_vector`` keeps its own
+``field.coerce`` loop, so the tests' reference elimination, which coerces
+through it, shares no fault of ``_coerce_row``.  Reduced echelon rows are
+zero in every other pivot column, so reduction and the combinations of
 ``intersect`` touch only the nonzero entries of each basis row, updating a
 list that the call made.  Over F_p elimination, too, updates rows in place
 at the pivot row's nonzero columns; over Q it still rebuilds whole rows.
@@ -70,6 +73,20 @@ def _coerce_row(field, vec, n):
     if len(row) != n:
         raise ValueError(f"vector of length {len(row)}, expected {n}")
     return row
+
+
+def _elements(field, rows):
+    """Row-store rows as field-element rows: themselves over Q, ``Residue`` rows over F_p."""
+    p = field.order
+    if p is None:
+        return rows
+    return tuple(tuple(Residue(x, p) for x in row) for row in rows)
+
+
+def _row_strings(field, rows):
+    """Row-store rows as report text: ``field.format`` of each entry of ``_elements``."""
+    fmt = field.format if field.order is None else str
+    return [list(map(fmt, row)) for row in rows]
 
 
 def _kernel_rows(field, rows):
@@ -135,7 +152,7 @@ def _from_rows(field, n, rows, pivots):
     """The subspace whose row store is ``rows``, reduced tuples, as they are."""
     s = Subspace(field, n, (), pivots)
     s._rows = rows
-    s._basis = rows if field.order is None else None
+    s._basis = None
     return s
 
 
@@ -164,7 +181,7 @@ class Subspace:
         """The basis rows: the row store over Q, ``Residue`` rows over F_p
         built when first read."""
         if self._basis is None:
-            self._basis = tuple(tuple(map(self.field.from_int, row)) for row in self._rows)
+            self._basis = _elements(self.field, self._rows)
         return self._basis
 
     @property
@@ -182,8 +199,7 @@ class Subspace:
     def reduce(self, vec):
         """Residual of ``vec`` after elimination against the basis."""
         w = self._residual(_coerce_row(self.field, vec, self.ambient_dim))
-        p = self.field.order
-        return tuple(w) if p is None else tuple(Residue(x, p) for x in w)
+        return _elements(self.field, (tuple(w),))[0]
 
     def _residual(self, w):
         """``w``, a list in row-store form that the caller made, reduced

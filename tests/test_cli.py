@@ -828,6 +828,36 @@ def test_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, name):
     assert err.startswith(f"error: '{shown}.json': cannot read (") and "JSON" not in err
 
 
+_ORACLE_NAMES = (
+    "RandomSpec", "brute_force_absorption", "brute_force_hereditary", "brute_force_ideals",
+    "brute_force_is_ideal", "brute_force_maximal_ideals", "enumerate_subspaces",
+    "gaussian_binomial", "random_algebra", "random_perfect_algebra",
+)
+
+
+def _fresh_interpreter(script):
+    """The stdout lines of ``script`` run by a new interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_import_evoalg_loads_the_oracle_and_the_property_suite_on_first_use():
+    script = f"""
+import sys, evoalg
+lazy = ("evoalg.galois", "evoalg.oracle")
+print(sorted(m for m in lazy if m in sys.modules))
+names = {_ORACLE_NAMES!r}
+print(set(names) <= set(evoalg.__all__))
+resolved = [getattr(evoalg, name) for name in names]
+from evoalg import oracle
+print(all(obj is getattr(oracle, name) for obj, name in zip(resolved, names)))
+print(sorted(m for m in lazy if m in sys.modules))
+"""
+    assert _fresh_interpreter(script) == ["[]", "True", "True", "['evoalg.oracle']"]
+
+
 def test_cli_imports_the_property_suite_only_for_verify_and_fuzz():
     script = """
 import sys, evoalg.cli
@@ -842,10 +872,9 @@ exec("from evoalg import *", names)
 print(set(evoalg.__all__) <= set(names), set(evoalg.__all__) <= set(dir(evoalg)))
 print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 """
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evoalg.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    # oracle stays eager: perfbench's tracer wraps only modules already imported.
-    assert proc.stdout.splitlines() == ["['evoalg.oracle']", "True", "True True", "[]"], proc.stderr
+    # ``cli`` imports oracle itself: perfbench's tracer wraps only modules
+    # already imported, and its ``cli`` pins are oracle functions.
+    assert _fresh_interpreter(script) == ["['evoalg.oracle']", "True", "True True", "[]"]
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         evoalg.nope
 

@@ -482,3 +482,41 @@ def test_intersect_hands_no_row_store_row_to_coercion(field, monkeypatch):
     for u, w, uw, wu in pairs:
         store = u._rows + w._rows
         assert u.intersect(w) == uw and w.intersect(u) == wu
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF2, PrimeField(5), PrimeField(1000003)], ids=["Q", "F2", "F5", "F1000003"]
+)
+def test_row_store_rows_leave_as_field_elements_or_as_their_text(field):
+    # ``_elements`` and ``_row_strings`` are the one way out of the row store:
+    # the text is ``field.format`` of the elements entry by entry, and over Q
+    # the elements are the row store itself.
+    rng = random.Random(31)
+    p = field.order
+    scalars = (0, 0, 1, -1, Fraction(2, 3), Fraction(-7, 5), 10**12) if p is None else (
+        0, 0, 1, -1, 2, p - 1, p + 3, 10**12
+    )
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        A = EvolutionAlgebra(field, [[rng.choice(scalars) for _ in range(n)] for _ in range(n)])
+        s = rref(field, n, A._int_squares[: rng.randint(0, n)])
+        for rows, elements in ((A._int_squares, A.squares), (s._rows, s.basis)):
+            assert elements == linalg._elements(field, rows)
+            assert all(
+                type(x) is Fraction if p is None else type(x) is Residue and x.p == p
+                for row in elements
+                for x in row
+            )
+            assert [[x.value if p else x for x in row] for row in elements] == list(map(list, rows))
+            assert linalg._row_strings(field, rows) == [list(map(field.format, r)) for r in elements]
+        assert A.squares is A.squares and s.basis is s.basis
+        if p is None:
+            assert A.squares is A._int_squares and s.basis is s._rows
+    if p is None:
+        rows = ((Fraction(1), Fraction(10**5000, 3)),)
+        for to_text in (
+            lambda: linalg._row_strings(field, rows),
+            lambda: [field.format(x) for x in linalg._elements(field, rows)[0]],
+        ):
+            with pytest.raises(InputError, match="int-str digit limit"):
+                to_text()

@@ -83,3 +83,16 @@ def test_workload_specs_name_a_workload_and_a_pair_count():
     for bad in ("suite", "suite:0", "suite:x", "suite:-1"):
         with pytest.raises(argparse.ArgumentTypeError):
             pairs.workload_spec(bad)
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "evoalg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Doc."""\n\nX = 1\n')
+    (package / "a.py").write_text("a = 1\nb = 2")  # no final newline: one line for wc -l
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "deep.py").write_text("not = 'counted'\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("x = 1\n")
+    assert pairs.src_lines(str(tmp_path)) == 4
+    assert pairs.src_lines(str(tmp_path / "missing")) == 0

@@ -27,13 +27,16 @@ workload and metric both sides' median and quartiles, the pairs HEAD won
 tenths of them and the medians differ, in HEAD's favour, by more than BASE's
 quartile spread.  A
 metric that reads 0 on both sides (``q_ops_per_s`` of a workload without Q
-ops) is ``not measured``.  Nothing is written inside the repository but the
-record named by ``--out``.
+ops) is ``not measured``.  Each side also records ``src_lines``, the line
+count of its ``src/evoalg/*.py``, so the line count sits next to the
+numbers.  Nothing is written inside the repository but the record named by
+``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -112,6 +115,15 @@ def extract(rev, dest):
     return commit
 
 
+def src_lines(checkout):
+    """Lines of ``src/evoalg/*.py`` under ``checkout``, as ``wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "evoalg", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run; its last stdout line, as parsed JSON,
     with each metric reduced to its value."""
@@ -160,7 +172,8 @@ def main(argv=None):
         for side in ("base", "head"):
             checkouts[side] = os.path.join(tmp, side)
             record[side] = {"rev": getattr(args, side),
-                            "commit": extract(getattr(args, side), checkouts[side])}
+                            "commit": extract(getattr(args, side), checkouts[side]),
+                            "src_lines": src_lines(checkouts[side])}
         for name, count in args.workload:
             pairs = []
             for k in range(count):
