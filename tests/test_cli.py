@@ -843,7 +843,8 @@ def _fresh_interpreter(script):
     return proc.stdout.splitlines()
 
 
-def test_import_evoalg_loads_the_oracle_and_the_property_suite_on_first_use():
+def test_cli_imports_the_property_suite_only_for_verify_and_fuzz():
+    # ``import evoalg`` loads the oracle and the property suite on first use.
     script = f"""
 import sys, evoalg
 lazy = ("evoalg.galois", "evoalg.oracle")
@@ -856,9 +857,6 @@ print(all(obj is getattr(oracle, name) for obj, name in zip(resolved, names)))
 print(sorted(m for m in lazy if m in sys.modules))
 """
     assert _fresh_interpreter(script) == ["[]", "True", "True", "['evoalg.oracle']"]
-
-
-def test_cli_imports_the_property_suite_only_for_verify_and_fuzz():
     script = """
 import sys, evoalg.cli
 print(sorted(m for m in ("evoalg.galois", "dataclasses", "inspect", "evoalg.oracle")
