@@ -8,15 +8,15 @@ Vertex sets are ``frozenset`` instances over ``0..n-1``.  Wherever a family of
 vertex sets is returned, it is sorted by the bitmask integer with bit ``i``
 standing for vertex ``i``, which fixes a deterministic output order.
 
-Paths are never materialised.  Reachability is one table, the vertex mask of
-everything each vertex reaches, and trees, components, their topological order
-and strong connectivity are all read off it.  Hereditary sets are walked in
-bitmask order, highest vertex first; after the limit check on their masks each
-is its walk parent's set | one tree, so it may iterate out of index order.  The
-table costs O(n^2) mask ORs; an algebra's graph has n <= ``DIM_CAP`` = 64.
+Paths are never materialised.  Reachability is one table of vertex masks, what
+each vertex reaches, and its transpose; trees, components and strong
+connectivity are read off them.  Hereditary sets are walked in bitmask order,
+highest vertex first, one step per set, each node carrying the vertices its
+exclusions bar; past the limit check each is its walk parent's | one tree, so
+it may iterate out of index order.  Each table is O(n^2) mask operations.
 
 Saturated hereditary sets come from the same walk, cut wherever the saturated
-closure of the chosen vertices meets an excluded one: every branch left holds
+closure of the chosen vertices meets a barred one: every branch left holds
 that closure, so at most n + 1 sets are tested per saturated set returned.
 """
 
@@ -127,14 +127,20 @@ class Digraph:
     def _reach_masks(self):
         """Vertex mask of everything reachable from each vertex, itself included.
 
-        This is the graph's one reachability table: Warshall's transitive
-        closure on vertex masks, O(n^2) mask ORs for n <= ``DIM_CAP``.
+        The graph's one reachability table, transposed in ``_reached_by``:
+        Warshall's closure on vertex masks, O(n^2) mask ORs for n <= ``DIM_CAP``.
         """
         reach = [1 << i | vertex_set_mask(t) for i, t in enumerate(self.out)]
         for k in range(self.n):
             rk, bit = reach[k], 1 << k
             reach = [r | rk if r & bit else r for r in reach]
         return tuple(reach)
+
+    @cached_property
+    def _reached_by(self):
+        """Vertex mask of everything reaching each vertex: ``_reach_masks`` transposed."""
+        reach, n = self._reach_masks, self.n
+        return tuple(vertex_set_mask(u for u in range(n) if reach[u] >> v & 1) for v in range(n))
 
     def tree(self, vertices):
         """All vertices reachable from the set, the set itself included."""
@@ -187,18 +193,14 @@ class Digraph:
 
         Returns ``(components, dag_out)`` with components sorted so that every
         condensation edge goes from an earlier to a later entry, ties broken
-        by smallest member vertex.  Both are read off the one table
-        ``_reach_masks``: a component is a class of mutual reachability, and
-        the next one in the order is the component of the smallest vertex
-        left that no vertex left outside that component reaches, which is
-        Kahn's order with a min-heap.  That takes O(n^2) bit tests; n <=
-        ``DIM_CAP`` for every algebra graph.
+        by smallest member vertex.  Both are read off the graph's two tables,
+        ``_reach_masks`` and its transpose ``_reached_by``: a component is a
+        class of mutual reachability, and the next one in the order is the
+        component of the smallest vertex left that no vertex left outside that
+        component reaches, which is Kahn's order with a min-heap.  That takes
+        O(n^2) bit tests; n <= ``DIM_CAP`` for every algebra graph.
         """
-        n = self.n
-        reach = self._reach_masks
-        reached_by = [
-            vertex_set_mask(u for u in range(n) if reach[u] >> v & 1) for v in range(n)
-        ]
+        n, reach, reached_by = self.n, self._reach_masks, self._reached_by
         components = []
         left = (1 << n) - 1
         while left:
@@ -239,36 +241,34 @@ class Digraph:
     def _hereditary_masks(self, saturated=False, links=None):
         """Every hereditary set as a mask, in increasing order.
 
-        Vertices are decided from n-1 down to 0, "out" before "in".  A vertex
-        may go in when its reach meets no excluded vertex; every node yields
-        its chosen reach, so two yields are at most n steps apart.
-
-        With ``saturated`` a child is also cut when the saturated closure of
-        its chosen vertices meets an excluded vertex, since every saturated
-        set below it holds that closure.  A kept node has the closure itself,
-        hereditary and saturated, among its descendants, so every yield is
-        one of the at most n + 1 nodes on the path to a saturated set: at
-        most n + 1 yields per saturated set.  With ``links``, two lists, each
-        yield first appends its parent's yield position and the vertex v it
-        added: its mask is the parent's | reach[v].
+        Vertices are decided from n-1 down to 0, "out" before "in".  A node
+        carries ``barred``, every vertex reaching one it excluded; each free
+        vertex below the last added pushes a child, then is barred with all
+        that reaches it, so each step yields a set.  With ``saturated`` a child
+        is also cut when the saturated closure of its chosen vertices, itself
+        hereditary, meets a barred vertex: every saturated set below holds that
+        closure, and a kept node has it among its descendants, so every yield
+        is one of the at most n + 1 nodes on the path to a saturated set.  With
+        ``links``, two lists, each yield first appends its parent's yield
+        position and the vertex v it added: its mask is the parent's | reach[v].
         """
-        reach = self._reach_masks
+        reach, reached_by = self._reach_masks, self._reached_by
         stack = [(self.n, 0, 0, 0)]
         k = 0
         while stack:
-            added, inc, exc, parent = stack.pop()
+            added, inc, barred, parent = stack.pop()
             if links:
                 links[0].append(parent)
                 links[1].append(added)
             yield inc
-            for v in range(added - 1, -1, -1):
-                bit = 1 << v
-                if not inc & bit:
-                    if not reach[v] & exc:
-                        child = inc | reach[v]
-                        if not (saturated and self._saturate(child) & exc):
-                            stack.append((v, child, exc, k))
-                    exc |= bit
+            free = ((1 << added) - 1) & ~(inc | barred)
+            while free:
+                v = free.bit_length() - 1
+                child = inc | reach[v]
+                if not (saturated and self._saturate(child) & barred):
+                    stack.append((v, child, barred, k))
+                barred |= reached_by[v]
+                free &= ~barred
             k += 1
 
     def hereditary_sets(self, limit=DEFAULT_ENUM_LIMIT):

@@ -309,6 +309,59 @@ def test_saturated_walk_tests_at_most_n_plus_one_sets_per_output():
     assert g.hereditary_saturated_sets() == [frozenset(), frozenset(range(g.n))]
 
 
+def _scan_walk(g, saturated=False, links=None):
+    """Reference walk: every node scans each vertex below the last added and
+    tests its reach against the excluded vertices."""
+    reach = g._reach_masks
+    stack = [(g.n, 0, 0, 0)]
+    k = 0
+    while stack:
+        added, inc, exc, parent = stack.pop()
+        if links:
+            links[0].append(parent)
+            links[1].append(added)
+        yield inc
+        for v in range(added - 1, -1, -1):
+            bit = 1 << v
+            if not inc & bit:
+                if not reach[v] & exc:
+                    child = inc | reach[v]
+                    if not (saturated and g._saturate(child) & exc):
+                        stack.append((v, child, exc, k))
+                exc |= bit
+        k += 1
+
+
+@pytest.mark.parametrize("seed", [53, 59])
+@pytest.mark.parametrize("saturated", [False, True])
+def test_walk_matches_the_per_vertex_scan(seed, saturated):
+    for g in _walk_graphs(seed):
+        links, expected_links = [[], []], [[], []]
+        masks = list(g._hereditary_masks(saturated, links))
+        assert masks == list(_scan_walk(g, saturated, expected_links))
+        assert links == expected_links
+
+
+class _CountedReads(tuple):
+    """A tuple that counts the items read from it."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("seed", [53, 59])
+def test_walk_reads_one_reach_mask_per_set(seed):
+    # Each set but the empty one is its walk parent's | reach[v] for one free
+    # vertex v; a vertex that reaches an excluded one is never read.
+    for g in _walk_graphs(seed):
+        g._reached_by  # built from the table before counting starts
+        table = g.__dict__["_reach_masks"] = _CountedReads(g._reach_masks)
+        table.reads = 0
+        family = list(g._hereditary_masks())
+        assert table.reads == len(family) - 1
+
+
 def test_enumeration_matches_brute_force_on_random_graphs():
     rng = random.Random(31)
     graphs = [edgeless(0), edgeless(1), edgeless(9), cycle_graph(12)]
